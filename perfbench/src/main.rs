@@ -10,11 +10,13 @@
 //! workload's subject and is measured for `--seconds`; the other phases
 //! run at a small fixed size so that every end-to-end metric is measured
 //! on every workload. `--trace 0` prints the end-to-end metrics, measured
-//! with tracing off. `--trace 1` runs the subject phase untraced and then
-//! traced, checks that both produce the same output, and prints the
-//! per-layer metrics. The last line of standard output is the result
-//! object; the line before it records the run (seed, threads, corpus
-//! sizes, toolchain, commit) and the checks.
+//! with tracing off. `--trace 1` runs the subject phase through the
+//! program's entry point, then through the benchmark's own calls into
+//! each layer with spans off and with spans on, checks that the traced
+//! output equals the program's, and prints the per-layer metrics. The
+//! last line of standard output is the result object; the line before it
+//! records the run (seed, threads, corpus sizes, toolchain, commit) and
+//! the checks.
 
 mod reference;
 mod session;
@@ -31,21 +33,24 @@ use loopml_ml::tile_budget_bytes;
 use loopml_rt::Json;
 
 use reference::Check;
-use session::{CorpusSize, Grid, Labeled, ServedModel, MIN_BATCHES};
+use session::{CorpusSize, Grid, Labeled, ServedModel, SERVE_BATCHES, TAIL_BATCHES};
 use trace::{Clock, Span};
 
 const USAGE: &str = "usage: loopml-perfbench --workload <label|tune|tune_scaled|serve> \
---seed <n> --seconds <s> --trace <0|1> [--threads <n>] [--record-reference]";
+--seed <n> --seconds <s> --trace <0|1> [--record-reference]
+worker threads: LOOPML_THREADS (default min(2, nproc), never more than nproc)";
 
-/// End-to-end metrics, printed by every `--trace 0` run.
-pub const END_TO_END: [(&str, &str); 8] = [
+/// End-to-end metrics, printed by every `--trace 0` run. The batch tail
+/// (p99 where at least ten samples lie beyond it) is reported in the run
+/// line with its sample count, not here: it follows the host's stalls
+/// more than the program (see the README).
+pub const END_TO_END: [(&str, &str); 7] = [
     ("setup_s", "s"),
     ("loops_per_s", "1/s"),
     ("tune_s", "s"),
     ("logo_accuracy", "ratio"),
     ("predictions_per_s", "1/s"),
     ("batch_p50_ms", "ms"),
-    ("batch_p99_ms", "ms"),
     ("peak_rss_mib", "MiB"),
 ];
 
@@ -93,7 +98,10 @@ pub const PER_LAYER: [(&str, &str); 35] = [
 /// seconds; `setup_s` is the median repetition, so a set-up of a few
 /// milliseconds (synthesis alone) is repeated many times.
 const SETUP_MIN_REPS: usize = 3;
-const SETUP_MIN_S: f64 = 2.0;
+const SETUP_MIN_S: f64 = 1.0;
+
+/// Passes of a tail tuning phase; `tune_s` is their median.
+const TAIL_TUNE_PASSES: usize = 5;
 
 /// Whether another set-up repetition is due after `done` of them.
 fn more_setup(done: usize, started: Instant) -> bool {
@@ -170,7 +178,6 @@ fn parse_args(argv: &[String], nproc: usize, env_threads: Option<String>) -> Res
     let mut seed = None;
     let mut seconds = None;
     let mut trace = None;
-    let mut threads = env_threads;
     let mut record = false;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -197,11 +204,10 @@ fn parse_args(argv: &[String], nproc: usize, env_threads: Option<String>) -> Res
                 "1" => trace = Some(true),
                 _ => return Err(format!("--trace takes 0 or 1, not {value:?}")),
             },
-            "--threads" => threads = Some(value),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    let threads = match threads {
+    let threads = match env_threads {
         None => nproc.min(2),
         Some(t) => match t.trim().parse::<usize>() {
             Ok(n) if (1..=nproc).contains(&n) => n,
@@ -380,65 +386,143 @@ fn note_corpus(out: &mut Outcome, data: &Labeled) {
     );
 }
 
-/// Runs the tuning phase `passes` times or for `seconds`, checking each
-/// pass: the selected hyperparameters of every scored family against
-/// the seed's reference, and exactly one distance build per sweep.
-fn tuning_phase(args: &Args, data: &Labeled, seconds: f64, out: &mut Outcome) -> session::Tuned {
-    let cfg = session::sweep_config(args.workload.grid());
-    let refname = args.workload.name();
-    // A one-cell tree grid can only select its cell; other grids are
-    // checked against the seed's recorded reference.
-    let reference = match args.workload.grid() {
-        Grid::TreeCell => Some(vec![
-            reference::tree_entry(loopml_ml::TreeParams::default()),
-        ]),
-        Grid::Default | Grid::SvmCell => reference::load(refname, args.seed),
-    };
-    let mut times = Vec::new();
-    let mut last = None;
-    let started = Instant::now();
-    while times.is_empty() || started.elapsed().as_secs_f64() < seconds {
-        let tuned = session::tune(&data.full, &data.groups, &cfg);
-        times.push(tuned.seconds);
-        let entries = reference::family_entries(&tuned.report);
-        out.attempted += entries.len() as u64 + 1;
-        if args.record && matches!(args.workload, Workload::Tune | Workload::TuneScaled) {
-            let header = format!("{refname} selected hyperparameters, seed {}", args.seed);
-            reference::record(refname, args.seed, &header, &entries)
-                .expect("write the tune reference");
+/// A tuning phase: its grid, data and reference, and what its passes
+/// measured and checked so far.
+///
+/// On `tune` and `tune_scaled` the phase is the subject: the workload's
+/// grid over the whole corpus, each scored family checked against the
+/// seed's reference. Elsewhere it is a tail: selection and one default
+/// tree cell over [`session::TAIL_PER_GROUP`] kept loops per benchmark,
+/// at least [`TAIL_TUNE_PASSES`] times, with the passes spread over the
+/// workload's subject so that the median `tune_s` does not rest on one
+/// stretch of the host's speed. A one-cell grid can only select its
+/// cell, so its selection is not checked. Every sweep must build its
+/// distance matrix exactly once.
+struct Tuning {
+    cfg: loopml_ml::SweepConfig,
+    sample: Option<(loopml_ml::Dataset, Vec<usize>)>,
+    reference: Option<Option<Vec<String>>>,
+    min_passes: usize,
+    refname: &'static str,
+    seed: u64,
+    record: bool,
+    checks: Outcome,
+    times: Vec<f64>,
+    last: Option<session::Tuned>,
+}
+
+impl Tuning {
+    fn new(args: &Args, data: &Labeled) -> Self {
+        let grid = args.workload.grid();
+        let refname = args.workload.name();
+        let (reference, sample, min_passes) = match grid {
+            Grid::TreeCell => (
+                None,
+                Some(data.sample(session::TAIL_PER_GROUP)),
+                TAIL_TUNE_PASSES,
+            ),
+            Grid::Default | Grid::SvmCell => (Some(reference::load(refname, args.seed)), None, 1),
+        };
+        Tuning {
+            cfg: session::sweep_config(grid),
+            sample,
+            reference,
+            min_passes,
+            refname,
+            seed: args.seed,
+            record: args.record,
+            checks: Outcome::default(),
+            times: Vec::new(),
+            last: None,
         }
-        out.check(
-            "families",
-            reference::compare(reference.as_deref(), &entries),
-        );
-        let builds = tuned.report.distance_builds;
-        out.check(
+    }
+
+    /// The examples and groups the passes tune on.
+    fn data<'a>(&'a self, data: &'a Labeled) -> (&'a loopml_ml::Dataset, &'a [usize]) {
+        self.sample
+            .as_ref()
+            .map_or((&data.full, &data.groups[..]), |(d, g)| (d, &g[..]))
+    }
+
+    /// One tuning pass, checked.
+    fn pass(&mut self, data: &Labeled) {
+        let (full, groups) = self.data(data);
+        let tuned = session::tune(full, groups, &self.cfg);
+        self.times.push(tuned.seconds);
+        self.checks.attempted += 1;
+        if let Some(reference) = &self.reference {
+            let entries = reference::family_entries(&tuned.report);
+            self.checks.attempted += entries.len() as u64;
+            if self.record {
+                let header = format!(
+                    "{} selected hyperparameters, seed {}",
+                    self.refname, self.seed
+                );
+                reference::record(self.refname, self.seed, &header, &entries)
+                    .expect("write the tune reference");
+            }
+            self.checks.check(
+                "families",
+                reference::compare(reference.as_deref(), &entries),
+            );
+        }
+        self.checks.check(
             "distance_builds",
-            if builds == 1 {
+            if tuned.report.distance_builds == 1 {
                 Check::Passed
             } else {
                 Check::Failed(1)
             },
         );
-        last = Some(tuned);
+        self.last = Some(tuned);
     }
-    let tuned = last.expect("at least one tuning pass");
-    out.metric("tune_s", stats::median(&times));
-    out.metric("logo_accuracy", tuned.report.winner_accuracy);
-    out.note("tune_passes", num(times.len() as f64));
-    out.note(
-        "winner",
-        Json::obj([
-            ("family", Json::Str(tuned.report.winner_family.clone())),
-            ("accuracy", num(tuned.report.winner_accuracy)),
-        ]),
-    );
-    tuned
+
+    /// Passes until at least the phase's minimum and `seconds` of them.
+    fn run(&mut self, data: &Labeled, seconds: f64) {
+        let started = Instant::now();
+        while self.times.len() < self.min_passes || started.elapsed().as_secs_f64() < seconds {
+            self.pass(data);
+        }
+    }
+
+    /// Records the phase's metrics and checks in `out`.
+    fn finish(self, data: &Labeled, out: &mut Outcome) -> session::Tuned {
+        out.attempted += self.checks.attempted;
+        for (key, check) in &self.checks.checks {
+            out.check(key, *check);
+        }
+        let examples = self.data(data).0.len();
+        let tuned = self.last.expect("at least one tuning pass");
+        out.metric("tune_s", stats::median(&self.times));
+        out.metric("logo_accuracy", tuned.report.winner_accuracy);
+        out.note(
+            "tuning",
+            Json::obj([
+                (
+                    "pass_s",
+                    Json::Arr(self.times.iter().map(|&t| num(t)).collect()),
+                ),
+                ("examples", num(examples as f64)),
+                ("family", Json::Str(tuned.report.winner_family.clone())),
+                ("accuracy", num(tuned.report.winner_accuracy)),
+            ]),
+        );
+        tuned
+    }
 }
 
-/// Runs a serve phase and records its metrics and checks.
-fn serving_phase(args: &Args, model: &loopml_serve::ServeModel, seconds: f64, out: &mut Outcome) {
-    let served = session::serve(model, args.seed, MIN_BATCHES, seconds, false);
+/// Runs a serve phase of at least `seconds` of service, calling
+/// `between_blocks` after each block of batches, and records its metrics
+/// and checks.
+fn serving_phase(
+    args: &Args,
+    model: &loopml_serve::ServeModel,
+    batches: usize,
+    seconds: f64,
+    between_blocks: &mut dyn FnMut(),
+    out: &mut Outcome,
+) {
+    let served = session::serve(model, args.seed, batches, seconds, false, between_blocks);
     let n = served.latencies_ms.len();
     out.attempted += n as u64;
     out.check(
@@ -450,22 +534,24 @@ fn serving_phase(args: &Args, model: &loopml_serve::ServeModel, seconds: f64, ou
         },
     );
     let sorted = stats::sorted(&served.latencies_ms);
-    let p99 = stats::percentile_if_supported(&served.latencies_ms, 99.0)
-        .expect("serve phases answer enough batches for p99");
     out.metric("predictions_per_s", served.predictions_per_s());
     out.metric("batch_p50_ms", stats::nearest_rank(&sorted, 50.0));
-    out.metric("batch_p99_ms", p99);
+    let tail = stats::tail_percentile(n);
     out.note(
         "batches",
         Json::obj([
             ("samples", num(n as f64)),
             ("batch_loops", num(session::BATCH as f64)),
-            ("p99_samples_beyond", num(stats::beyond(99.0, n) as f64)),
-            (
-                "tail_percentile",
-                stats::tail_percentile(n).map_or(Json::Null, Json::Num),
-            ),
             ("model", Json::Str(model.name().into())),
+            ("tail_percentile", tail.map_or(Json::Null, Json::Num)),
+            (
+                "tail_samples_beyond",
+                tail.map_or(Json::Null, |p| num(stats::beyond(p, n) as f64)),
+            ),
+            (
+                "tail_ms",
+                tail.map_or(Json::Null, |p| num(stats::nearest_rank(&sorted, p))),
+            ),
         ]),
     );
 }
@@ -473,7 +559,7 @@ fn serving_phase(args: &Args, model: &loopml_serve::ServeModel, seconds: f64, ou
 /// `--trace 0`: every end-to-end metric, tracing off.
 fn untraced_run(args: &Args) -> Outcome {
     let mut out = Outcome::default();
-    let data = match args.workload {
+    match args.workload {
         Workload::Label => {
             // Set-up is synthesis alone: labeling is the measured work.
             let cfg = session::suite_config(CorpusSize::Full, args.seed);
@@ -490,7 +576,8 @@ fn untraced_run(args: &Args) -> Outcome {
             let attempted = session::unrollable_loops(&suite);
             let reference = reference::load("label", args.seed);
             let mut rates = Vec::new();
-            let mut first: Option<Vec<loopml::LabeledLoop>> = None;
+            let mut data: Option<Labeled> = None;
+            let mut tuning: Option<Tuning> = None;
             let started = Instant::now();
             while rates.len() < 2 || started.elapsed().as_secs_f64() < args.seconds {
                 let (labeled, t) = session::label(&suite);
@@ -498,7 +585,7 @@ fn untraced_run(args: &Args) -> Outcome {
                 out.attempted += attempted as u64;
                 let entries = reference::label_entries(&suite, &labeled);
                 out.check("loops", reference::compare(reference.as_deref(), &entries));
-                if args.record && first.is_none() {
+                if args.record && data.is_none() {
                     let header = format!(
                         "label: per attempted loop in suite order, FNV-1a of (label, runtimes) \
                          or - when filtered; seed {}",
@@ -507,55 +594,68 @@ fn untraced_run(args: &Args) -> Outcome {
                     reference::record("label", args.seed, &header, &entries)
                         .expect("write the label reference");
                 }
-                match &first {
-                    None => first = Some(labeled),
-                    Some(f) => {
-                        let want = reference::label_entries(&suite, f);
+                match &data {
+                    None => data = Some(Labeled::new(suite.clone(), labeled)),
+                    Some(first) => {
+                        let want = reference::label_entries(&suite, &first.labeled);
                         out.check(
                             "passes_repeatable",
                             reference::compare(Some(&want), &entries),
                         );
                     }
                 }
+                // The tail tuning passes run between labeling passes.
+                let data = data.as_ref().expect("labeled by the first pass");
+                tuning
+                    .get_or_insert_with(|| Tuning::new(args, data))
+                    .pass(data);
             }
             out.metric("loops_per_s", stats::median(&rates));
             out.note("label_passes", num(rates.len() as f64));
-            Labeled::new(suite, first.expect("at least one labeling pass"))
+            let data = data.expect("at least one labeling pass");
+            note_corpus(&mut out, &data);
+            let mut tuning = tuning.expect("tuned after every labeling pass");
+            tuning.run(&data, 0.0);
+            let tuned = tuning.finish(&data, &mut out);
+            let model = session::train(ServedModel::Tree, &data.full, &tuned.cols);
+            serving_phase(args, &model, TAIL_BATCHES, 0.0, &mut || {}, &mut out);
         }
         Workload::Tune | Workload::TuneScaled | Workload::Serve => {
             let (data, setup_s, rates) = setup_labeled(args, &mut out);
             out.metric("setup_s", stats::median(&setup_s));
             out.note("setup_reps", num(setup_s.len() as f64));
             out.metric("loops_per_s", stats::median(&rates));
-            data
-        }
-    };
-    note_corpus(&mut out, &data);
-    match args.workload {
-        Workload::Label => {
-            let tuned = tuning_phase(args, &data, 0.0, &mut out);
-            let model = session::train(ServedModel::Tree, &data.full, &tuned.cols);
-            serving_phase(args, &model, 0.0, &mut out);
-        }
-        Workload::Tune | Workload::TuneScaled => {
+            note_corpus(&mut out, &data);
             if args.workload == Workload::TuneScaled {
                 pin_tile_budget(data.full.len(), args.threads);
             }
-            let tuned = tuning_phase(args, &data, args.seconds, &mut out);
-            let model = session::train(ServedModel::Tree, &data.full, &tuned.cols);
-            serving_phase(args, &model, 0.0, &mut out);
-        }
-        Workload::Serve => {
-            // The served model is set-up: selection and SVM training.
-            let t = Instant::now();
-            let cols = loopml::informative_features(&data.full, session::SELECT_K);
-            let model = session::train(ServedModel::Svm, &data.full, &cols);
-            let train_s = t.elapsed().as_secs_f64();
-            let synth_label = out.metrics["setup_s"];
-            out.metric("setup_s", synth_label + train_s);
-            out.note("train_s", num(train_s));
-            tuning_phase(args, &data, 0.0, &mut out);
-            serving_phase(args, &model, args.seconds, &mut out);
+            let mut tuning = Tuning::new(args, &data);
+            if args.workload == Workload::Serve {
+                // The served model is set-up: selection and SVM training.
+                let t = Instant::now();
+                let cols = loopml::informative_features(&data.full, session::SELECT_K);
+                let model = session::train(ServedModel::Svm, &data.full, &cols);
+                let train_s = t.elapsed().as_secs_f64();
+                let synth_label = out.metrics["setup_s"];
+                out.metric("setup_s", synth_label + train_s);
+                out.note("train_s", num(train_s));
+                // The tail tuning passes run between blocks of batches.
+                serving_phase(
+                    args,
+                    &model,
+                    SERVE_BATCHES,
+                    args.seconds,
+                    &mut || tuning.pass(&data),
+                    &mut out,
+                );
+                tuning.run(&data, 0.0);
+                tuning.finish(&data, &mut out);
+            } else {
+                tuning.run(&data, args.seconds);
+                let tuned = tuning.finish(&data, &mut out);
+                let model = session::train(ServedModel::Tree, &data.full, &tuned.cols);
+                serving_phase(args, &model, TAIL_BATCHES, 0.0, &mut || {}, &mut out);
+            }
         }
     }
     // Read last, so tune_scaled records the budget it pinned.
@@ -599,9 +699,17 @@ fn traced_run(args: &Args) -> Outcome {
     spans.extend(rec.into_spans());
     let attempted_loops = session::unrollable_loops(&suite);
 
+    // The subject runs three times: the program's own path, whose output
+    // the traced pass must reproduce; then the benchmark's calls into the
+    // layers with spans off and with spans on. The overhead compares the
+    // last two, which do the same work.
+    let off = Clock::off();
     let (untraced_s, traced_s, kept, data) = match args.workload {
         Workload::Label => {
-            let (labeled, untraced_s) = session::label(&suite);
+            let (labeled, _) = session::label(&suite);
+            let t = Instant::now();
+            traced::label(&off, None, &suite, &label_cfg, args.threads);
+            let untraced_s = t.elapsed().as_secs_f64();
             let mut rec = clock.recorder(None);
             let t = Instant::now();
             let (traced_labeled, worker_spans) = rec.span("pass", |rec| {
@@ -641,13 +749,11 @@ fn traced_run(args: &Args) -> Outcome {
             if args.workload == Workload::Serve {
                 let cols = loopml::informative_features(&data.full, session::SELECT_K);
                 let model = session::train(ServedModel::Svm, &data.full, &cols);
-                let untraced = session::serve(&model, args.seed, MIN_BATCHES, 0.0, true);
-                let (t, serve_spans) = traced::serve(&clock, &model, args.seed, MIN_BATCHES);
-                let traced_s = serve_spans
-                    .iter()
-                    .filter(|s| s.parent.is_none())
-                    .map(|s| s.duration_ns() as f64 / 1e9)
-                    .sum::<f64>();
+                let untraced =
+                    session::serve(&model, args.seed, SERVE_BATCHES, 0.0, true, &mut || {});
+                let lines = session::Requests::new(args.seed).lines(SERVE_BATCHES);
+                let (base, _) = traced::serve(&off, &model, &lines);
+                let (t, serve_spans) = traced::serve(&clock, &model, &lines);
                 spans.extend(serve_spans);
                 out.attempted += untraced.latencies_ms.len() as u64;
                 out.check(
@@ -664,14 +770,16 @@ fn traced_run(args: &Args) -> Outcome {
                 );
                 out.metric("rt.json.bytes", t.bytes as f64);
                 out.metric("serve.errors", t.errors as f64);
-                let untraced_s = untraced.latencies_ms.iter().sum::<f64>() / 1e3;
-                (untraced_s, traced_s, kept, data)
+                (base.seconds, t.seconds, kept, data)
             } else {
                 if args.workload == Workload::TuneScaled {
                     pin_tile_budget(data.full.len(), args.threads);
                 }
                 let grid = session::sweep_config(args.workload.grid());
                 let untraced = session::tune(&data.full, &data.groups, &grid);
+                let t0 = Instant::now();
+                traced::tune(&off, &data.full, &data.groups, &grid, args.threads);
+                let untraced_s = t0.elapsed().as_secs_f64();
                 let t0 = Instant::now();
                 let (t, tune_spans) =
                     traced::tune(&clock, &data.full, &data.groups, &grid, args.threads);
@@ -713,7 +821,7 @@ fn traced_run(args: &Args) -> Outcome {
                     let fits = reference::cells(r, family) * r.n_groups;
                     out.metric(traced::sweep_layer(family).2, fits as f64);
                 }
-                (untraced.seconds, traced_s, kept, data)
+                (untraced_s, traced_s, kept, data)
             }
         }
     };
@@ -926,10 +1034,17 @@ mod tests {
             parse_args(&args(base), 1, None).expect("one core").threads,
             1
         );
-        let err = parse_args(&args(&format!("{base} --threads 3")), 2, None).unwrap_err();
+        assert_eq!(
+            parse_args(&args(base), 2, Some("1".into()))
+                .expect("LOOPML_THREADS=1")
+                .threads,
+            1
+        );
+        let err = parse_args(&args(base), 2, Some("3".into())).unwrap_err();
         assert!(err.contains("nproc"), "{err}");
-        assert!(parse_args(&args(base), 2, Some("4".into())).is_err());
-        assert!(parse_args(&args(&format!("{base} --threads 0")), 2, None).is_err());
+        assert!(parse_args(&args(base), 2, Some("0".into())).is_err());
+        assert!(parse_args(&args(base), 2, Some("two".into())).is_err());
+        assert!(parse_args(&args(&format!("{base} --threads 1")), 2, None).is_err());
         assert!(parse_args(
             &args("--workload nope --seed 1 --seconds 1 --trace 0"),
             2,

@@ -5,15 +5,17 @@
 //! entry per line, `#` lines being comments. `label` stores one digest
 //! per attempted loop (or `-` when the paper's filters drop it); `tune`
 //! and `tune_scaled` store the selected hyperparameters of each scored
-//! family. Seeds without a file report their reference check as
-//! skipped. A damaged file never aborts the run: every entry that does
-//! not match counts as one failure.
+//! family. References are recorded for [`RECORDED_SEEDS`]; other seeds
+//! without a file report their reference check as skipped. A damaged,
+//! unreadable or missing recorded reference never aborts the run and is
+//! never skipped: every entry that does not match counts as one failure.
 
-use std::path::PathBuf;
+use std::io::ErrorKind;
+use std::path::{Path, PathBuf};
 
 use loopml::LabeledLoop;
 use loopml_ir::Benchmark;
-use loopml_ml::{SweepReport, TreeParams};
+use loopml_ml::SweepReport;
 
 /// Outcome of one reference check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,11 +57,27 @@ pub fn path(workload: &str, seed: u64) -> PathBuf {
     dir().join(format!("{workload}-{seed}.txt"))
 }
 
-/// Reads the entries of a reference, or `None` when none is recorded.
+/// Seeds with recorded references: the historical corpus seed
+/// (`0xC602005`) and one held-out seed.
+pub const RECORDED_SEEDS: [u64; 2] = [0xC602005, 424242];
+
+/// Reads the entries of the reference for `workload` at `seed`; `None`
+/// (the check is skipped) only when there is none for a seed outside
+/// [`RECORDED_SEEDS`].
 pub fn load(workload: &str, seed: u64) -> Option<Vec<String>> {
-    std::fs::read_to_string(path(workload, seed))
-        .ok()
-        .map(|text| entries(&text))
+    load_from(&path(workload, seed), RECORDED_SEEDS.contains(&seed))
+}
+
+/// Reads the reference at `path`. Bytes that are not UTF-8 become
+/// replacement characters, so they mismatch instead of failing the read.
+/// A file that cannot be read, or is missing although `recorded`, reads
+/// as no entries, so every entry checked against it fails.
+fn load_from(path: &Path, recorded: bool) -> Option<Vec<String>> {
+    match std::fs::read(path) {
+        Ok(bytes) => Some(entries(&String::from_utf8_lossy(&bytes))),
+        Err(e) if e.kind() == ErrorKind::NotFound && !recorded => None,
+        Err(_) => Some(Vec::new()),
+    }
 }
 
 /// The non-comment lines of a reference text.
@@ -165,7 +183,10 @@ pub fn family_entries(r: &SweepReport) -> Vec<String> {
         .map(|&f| match f {
             "nn" => format!("nn radius={}", r.selected_radius),
             "svm" => format!("svm gamma={} c={}", r.selected_svm.gamma, r.selected_svm.c),
-            "tree" => tree_entry(r.selected_tree),
+            "tree" => format!(
+                "tree max_depth={} min_leaf={}",
+                r.selected_tree.max_depth, r.selected_tree.min_leaf
+            ),
             "forest" => format!("forest trees={}", r.selected_forest.trees),
             _ => format!(
                 "mlp hidden={} lr={}",
@@ -173,11 +194,6 @@ pub fn family_entries(r: &SweepReport) -> Vec<String> {
             ),
         })
         .collect()
-}
-
-/// The entry of a selected decision tree.
-pub fn tree_entry(p: TreeParams) -> String {
-    format!("tree max_depth={} min_leaf={}", p.max_depth, p.min_leaf)
 }
 
 #[cfg(test)]
@@ -211,5 +227,37 @@ mod tests {
         assert_eq!(compare(Some(&garbage), &g), Check::Failed(4));
         assert_eq!(compare(Some(&[]), &g), Check::Failed(4));
         assert_eq!(compare(Some(&[]), &g).failures(), 4);
+    }
+
+    #[test]
+    fn unreadable_or_missing_recorded_references_count_failures() {
+        let g = got();
+        let dir = std::env::current_exe()
+            .expect("test binary path")
+            .with_file_name("perfbench-reference-test");
+        std::fs::create_dir_all(&dir).expect("scratch directory beside the test binary");
+        // Invalid UTF-8 is read lossily: the damaged entries mismatch.
+        let corrupt = dir.join("not-utf8.txt");
+        std::fs::write(&corrupt, b"# header\n\xff\xfe1\n-\n\xc3\x28\n").expect("write");
+        let read = load_from(&corrupt, true).expect("a corrupt file is read, not skipped");
+        assert_eq!(read.len(), 3);
+        assert_eq!(compare(Some(&read), &g), Check::Failed(3));
+        // A missing file is skipped only for an unrecorded seed.
+        let missing = dir.join("missing.txt");
+        assert_eq!(load_from(&missing, false), None);
+        let recorded = load_from(&missing, true);
+        assert_eq!(compare(recorded.as_deref(), &g), Check::Failed(4));
+        // Any other read error (here: the path is a directory) fails.
+        let unreadable = load_from(&dir, false);
+        assert_eq!(compare(unreadable.as_deref(), &g), Check::Failed(4));
+        // The recorded seeds' references are present and readable.
+        for seed in RECORDED_SEEDS {
+            for workload in ["label", "tune", "tune_scaled"] {
+                assert!(
+                    std::fs::read(path(workload, seed)).is_ok(),
+                    "{workload}-{seed}"
+                );
+            }
+        }
     }
 }

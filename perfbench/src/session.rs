@@ -15,15 +15,26 @@ use loopml_ml::{
     sweep, Classifier, Dataset, DecisionTree, MulticlassSvm, SvmParams, SweepConfig, SweepReport,
     TreeGrid, TreeParams, DEFAULT_RADIUS,
 };
-use loopml_rt::{fault_key, Json};
+use loopml_rt::{fault_key, par_map, Json};
 use loopml_serve::{Request, Response, ServeModel, ServeOptions, ServeSession, SessionReply};
 
 /// Loops per serve request: one compilation unit's worth of queries.
 pub const BATCH: usize = 32;
 
-/// Batches a serve phase answers at least: the fewest for which p99
-/// has ten samples beyond it.
-pub const MIN_BATCHES: usize = 1000;
+/// Batches the `serve` workload sends, and each traced serve pass: the
+/// fewest for which p99 has ten samples beyond it.
+pub const SERVE_BATCHES: usize = 1000;
+
+/// Batches every other serve phase sends: enough for a steady median;
+/// their highest reported percentile is p95.
+pub const TAIL_BATCHES: usize = 300;
+
+/// Batches prepared, sent and checked as one block.
+const BLOCK: usize = 100;
+
+/// Kept examples per benchmark in the data of a tail tuning phase: about
+/// 1.5 times the quick corpus's 469 examples over 72 groups.
+pub const TAIL_PER_GROUP: usize = 10;
 
 /// Features kept by selection (`PipelineBuilder::paper`'s k).
 pub const SELECT_K: usize = 5;
@@ -111,6 +122,22 @@ impl Labeled {
         g.sort_unstable();
         g.dedup();
         g.len()
+    }
+
+    /// The dataset and groups of the first `per_group` kept examples of
+    /// every benchmark.
+    pub fn sample(&self, per_group: usize) -> (Dataset, Vec<usize>) {
+        let mut taken = vec![0usize; self.suite.len()];
+        let kept: Vec<LabeledLoop> = self
+            .labeled
+            .iter()
+            .filter(|l| {
+                taken[l.benchmark] += 1;
+                taken[l.benchmark] <= per_group
+            })
+            .cloned()
+            .collect();
+        (to_dataset(&kept), benchmark_groups(&kept))
     }
 }
 
@@ -245,6 +272,7 @@ pub struct Requests {
     corpora: u64,
     loops: Vec<Loop>,
     next: usize,
+    sent: usize,
 }
 
 impl Requests {
@@ -255,13 +283,15 @@ impl Requests {
             corpora: 0,
             loops: Vec::new(),
             next: 0,
+            sent: 0,
         }
     }
 
-    /// The next `n` loops.
-    pub fn batch(&mut self, n: usize) -> Vec<Loop> {
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
+    /// The next batch: the request line carrying the next [`BATCH`]
+    /// loops, with id the batch's position in the stream, and the loops.
+    pub fn next_batch(&mut self) -> (String, Vec<Loop>) {
+        let mut loops = Vec::with_capacity(BATCH);
+        while loops.len() < BATCH {
             if self.next == self.loops.len() {
                 let seed = fault_key(&[self.seed, REQUEST_STREAM, self.corpora]);
                 self.corpora += 1;
@@ -271,21 +301,23 @@ impl Requests {
                     .collect();
                 self.next = 0;
             }
-            out.push(self.loops[self.next].clone());
+            loops.push(self.loops[self.next].clone());
             self.next += 1;
         }
-        out
+        let line = Request::Loops {
+            id: Json::Num(self.sent as f64),
+            loops: loops.clone(),
+        }
+        .to_json()
+        .to_string();
+        self.sent += 1;
+        (line, loops)
     }
-}
 
-/// The request line of batch `id`.
-pub fn request_line(id: usize, loops: &[Loop]) -> String {
-    Request::Loops {
-        id: Json::Num(id as f64),
-        loops: loops.to_vec(),
+    /// The request lines of the next `n` batches.
+    pub fn lines(&mut self, n: usize) -> Vec<String> {
+        (0..n).map(|_| self.next_batch().0).collect()
     }
-    .to_json()
-    .to_string()
 }
 
 /// What a serve phase measured and checked.
@@ -303,49 +335,71 @@ pub struct Served {
 }
 
 impl Served {
+    /// Seconds of client-timed service.
+    pub fn service_s(&self) -> f64 {
+        self.latencies_ms.iter().sum::<f64>() / 1e3
+    }
+
     /// Answered factors per second of client-timed service.
     pub fn predictions_per_s(&self) -> f64 {
-        self.predictions as f64 / (self.latencies_ms.iter().sum::<f64>() / 1e3)
+        self.predictions as f64 / self.service_s()
     }
 }
 
-/// A closed loop with one client: sends request lines of [`BATCH`]
-/// loops through `ServeSession::answer_line`, the next only after the
-/// previous reply, until at least `min_batches` batches and
-/// `min_seconds` have passed. Each batch is timed at the client and its
-/// reply checked against `LearnedHeuristic::choose` outside the timer.
+/// A closed loop with one client: sends request lines through
+/// `ServeSession::answer_line`, the next only after the previous reply,
+/// until at least `min_batches` batches and `min_seconds` of service,
+/// in blocks of [`BLOCK`] batches with `between_blocks` called after
+/// each. Each batch is timed at the client. Requests
+/// and the factors `LearnedHeuristic::choose` gives their loops are
+/// prepared before a block of batches is sent, and replies are checked
+/// after it, so neither synthesis nor checking runs between timed
+/// batches.
 pub fn serve(
     model: &ServeModel,
     seed: u64,
     min_batches: usize,
     min_seconds: f64,
     keep_replies: bool,
+    between_blocks: &mut dyn FnMut(),
 ) -> Served {
     let mut session = ServeSession::new(model, ServeOptions::quiet());
     let mut requests = Requests::new(seed);
     let mut out = Served::default();
-    let started = Instant::now();
-    while out.latencies_ms.len() < min_batches || started.elapsed().as_secs_f64() < min_seconds {
-        let id = out.latencies_ms.len();
-        let loops = requests.batch(BATCH);
-        let line = request_line(id, &loops);
-        let t = Instant::now();
-        let reply = session.answer_line(&line);
-        out.latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        let want: Vec<u32> = loops.iter().map(|l| model.heuristic().choose(l)).collect();
-        match &reply {
-            Some(SessionReply::Answer(Response::Factors {
-                id: echoed,
-                factors,
-            })) if *echoed == Json::Num(id as f64) && *factors == want => {
-                out.predictions += factors.len();
+    while out.latencies_ms.len() < min_batches || out.service_s() < min_seconds {
+        let left = min_batches.saturating_sub(out.latencies_ms.len());
+        let block = if left == 0 { BLOCK } else { left.min(BLOCK) };
+        let prepared: Vec<(String, Vec<u32>)> = (0..block)
+            .map(|_| {
+                let (line, loops) = requests.next_batch();
+                let want = par_map(&loops, |l| model.heuristic().choose(l));
+                (line, want)
+            })
+            .collect();
+        let mut replies = Vec::with_capacity(block);
+        for (line, _) in &prepared {
+            let t = Instant::now();
+            let reply = session.answer_line(line);
+            out.latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
+            replies.push(reply);
+        }
+        let first = out.latencies_ms.len() - block;
+        for (i, ((_, want), reply)) in prepared.iter().zip(replies).enumerate() {
+            match &reply {
+                Some(SessionReply::Answer(Response::Factors {
+                    id: echoed,
+                    factors,
+                })) if *echoed == Json::Num((first + i) as f64) && factors == want => {
+                    out.predictions += factors.len();
+                }
+                _ => out.failed += 1,
             }
-            _ => out.failed += 1,
+            if keep_replies {
+                out.replies
+                    .push(reply.map_or(String::new(), |r| r.to_json().to_string()));
+            }
         }
-        if keep_replies {
-            out.replies
-                .push(reply.map_or(String::new(), |r| r.to_json().to_string()));
-        }
+        between_blocks();
     }
     out
 }

@@ -67,15 +67,6 @@ pub fn tail_percentile(n: usize) -> Option<f64> {
         .find(|&p| n > 0 && beyond(p, n) >= MIN_BEYOND)
 }
 
-/// Nearest-rank percentile `p` of `xs` if at least [`MIN_BEYOND`]
-/// samples lie beyond it, else `None`.
-pub fn percentile_if_supported(xs: &[f64], p: f64) -> Option<f64> {
-    if xs.is_empty() || beyond(p, xs.len()) < MIN_BEYOND {
-        return None;
-    }
-    Some(nearest_rank(&sorted(xs), p))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,10 +104,16 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_percentiles_are_not_reported() {
-        let xs: Vec<f64> = (0..999).map(f64::from).collect();
-        assert_eq!(percentile_if_supported(&xs, 99.0), None);
+    fn the_reported_tail_has_ten_samples_beyond_it() {
+        // 999 samples: p99 would rest on 9, so the tail reported is p95.
+        let xs = sorted(&(0..999).rev().map(f64::from).collect::<Vec<_>>());
+        let p = tail_percentile(xs.len()).expect("a tail");
+        assert_eq!(p, 95.0);
+        assert_eq!(nearest_rank(&xs, p), 949.0);
+        assert_eq!(beyond(p, xs.len()), 49);
         let xs: Vec<f64> = (0..1000).map(f64::from).collect();
-        assert_eq!(percentile_if_supported(&xs, 99.0), Some(989.0));
+        assert_eq!(tail_percentile(xs.len()), Some(99.0));
+        assert_eq!(nearest_rank(&xs, 99.0), 989.0);
+        assert_eq!(beyond(99.0, xs.len()), 10);
     }
 }

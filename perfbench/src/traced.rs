@@ -2,6 +2,8 @@
 //! benchmark calling each layer's public functions itself, in the order
 //! the program calls them, inside a span per call.
 
+use std::time::Instant;
+
 use loopml::{
     attempt_seed, extract, hot_footprint, informative_features, LabelConfig, LabeledLoop,
     MAX_UNROLL, NUM_FEATURES,
@@ -17,7 +19,7 @@ use loopml_rt::{par_map_threads, Json, Rng};
 use loopml_serve::{Request, Response, ServeModel};
 
 use crate::reference::FAMILIES;
-use crate::session::{only_family, request_line, Requests, BATCH, SELECT_K};
+use crate::session::{only_family, SELECT_K};
 use crate::trace::{Clock, Recorder, Span};
 
 /// Labels `suite` exactly as `label_suite` does — benchmarks spread over
@@ -303,7 +305,7 @@ pub fn tune(
     (out, rec.into_spans())
 }
 
-/// What the traced serve pass answered.
+/// What a serve pass through the layers answered.
 #[derive(Debug, Default)]
 pub struct TracedServe {
     /// Reply lines, in batch order.
@@ -312,19 +314,15 @@ pub struct TracedServe {
     pub bytes: usize,
     /// Batches that could not be answered with factors.
     pub errors: u64,
+    /// Seconds spent answering, summed over batches.
+    pub seconds: f64,
 }
 
-/// Answers `batches` request batches — the same lines the untraced
-/// serve phase sends for `seed` — through the layers `answer_line`
-/// runs: `rt.json` parse, `serve.wire.decode`, `core.features`,
-/// `ml.predict`, `serve.wire.encode`, under one `serve.batch` root per
-/// request.
-pub fn serve(
-    clock: &Clock,
-    model: &ServeModel,
-    seed: u64,
-    batches: usize,
-) -> (TracedServe, Vec<Span>) {
+/// Answers request `lines` — the lines the untraced serve phase sends —
+/// through the layers `answer_line` runs: `rt.json` parse,
+/// `serve.wire.decode`, `core.features`, `ml.predict`,
+/// `serve.wire.encode`, under one `serve.batch` root per request.
+pub fn serve(clock: &Clock, model: &ServeModel, lines: &[String]) -> (TracedServe, Vec<Span>) {
     let cols = model
         .artifact()
         .feature_subset
@@ -334,15 +332,14 @@ pub fn serve(
         cols.iter().all(|&c| c < NUM_FEATURES),
         "the traced serve path extracts the 38 static features only"
     );
-    let mut requests = Requests::new(seed);
     let mut rec = clock.recorder(None);
     let mut out = TracedServe::default();
-    for id in 0..batches {
-        let loops = requests.batch(BATCH);
-        let line = request_line(id, &loops);
+    for (id, line) in lines.iter().enumerate() {
         out.bytes += line.len();
         rec.set_request(id as u64);
-        let reply = rec.span("serve.batch", |rec| answer(rec, model, &cols, &line));
+        let t = Instant::now();
+        let reply = rec.span("serve.batch", |rec| answer(rec, model, &cols, line));
+        out.seconds += t.elapsed().as_secs_f64();
         match reply {
             Some(text) => out.replies.push(text),
             None => {
