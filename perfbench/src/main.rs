@@ -9,7 +9,8 @@
 //! tune a model on it, serve unroll queries — in which one phase is the
 //! workload's subject and is measured for `--seconds`; the other phases
 //! run at a small fixed size so that every end-to-end metric is measured
-//! on every workload. `--trace 0` prints the end-to-end metrics, measured
+//! on every workload, in rounds interleaved with the subject so that each
+//! metric's samples span the run. `--trace 0` prints the end-to-end metrics, measured
 //! with tracing off. `--trace 1` runs the subject phase through the
 //! program's entry point, then through the benchmark's own calls into
 //! each layer with spans off and with spans on, checks that the traced
@@ -33,7 +34,10 @@ use loopml_ml::tile_budget_bytes;
 use loopml_rt::Json;
 
 use reference::Check;
-use session::{CorpusSize, Grid, Labeled, ServedModel, SERVE_BATCHES, TAIL_BATCHES};
+use session::{
+    with_threads, CorpusSize, Grid, Labeled, Served, ServedModel, Server, BLOCK, SERVE_BATCHES,
+    TAIL_BATCHES,
+};
 use trace::{Clock, Span};
 
 const USAGE: &str = "usage: loopml-perfbench --workload <label|tune|tune_scaled|serve> \
@@ -100,8 +104,23 @@ pub const PER_LAYER: [(&str, &str); 35] = [
 const SETUP_MIN_REPS: usize = 3;
 const SETUP_MIN_S: f64 = 1.0;
 
-/// Passes of a tail tuning phase; `tune_s` is their median.
+/// Passes of a tail tuning phase at least; `tune_s` is their median.
 const TAIL_TUNE_PASSES: usize = 5;
+
+/// Rounds of the `label` workload at least.
+const LABEL_MIN_ROUNDS: usize = 5;
+
+/// Tail tuning passes per `label` round.
+const TAIL_TUNE_PER_ROUND: usize = 2;
+
+/// Tail rounds on each side of the subject on `tune` and `tune_scaled`.
+const SIDE_ROUNDS: usize = 2;
+
+/// Workers of every tail phase. Tail passes are short (0.2–2 s) and a
+/// short pass fanned out over both vCPUs of a 2-vCPU machine slows far
+/// more under host load than the same pass on one worker (a tail tuning
+/// pass: 2.1x against 1.5x when the host stole a quarter of the CPU).
+const TAIL_THREADS: usize = 1;
 
 /// Whether another set-up repetition is due after `done` of them.
 fn more_setup(done: usize, started: Instant) -> bool {
@@ -320,6 +339,22 @@ fn peak_rss_mib() -> f64 {
         .map_or(f64::NAN, |kb| kb / 1024.0)
 }
 
+/// Steal and total ticks of all CPUs since boot, from `/proc/stat`.
+/// Steal is time the hypervisor ran something else while a vCPU of this
+/// machine was ready to run; its share during a run is recorded with the
+/// run, because the timings follow it.
+fn cpu_ticks() -> Option<(u64, u64)> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let ticks: Vec<u64> = stat
+        .lines()
+        .next()?
+        .strip_prefix("cpu ")?
+        .split_whitespace()
+        .map(|t| t.parse().ok())
+        .collect::<Option<_>>()?;
+    Some((*ticks.get(7)?, ticks.iter().take(8).sum()))
+}
+
 /// First line of a command's standard output, or `unknown`.
 fn command_line(program: &str, args: &[&str]) -> String {
     Command::new(program)
@@ -341,33 +376,82 @@ fn pin_tile_budget(n: usize, threads: usize) {
     std::env::set_var("LOOPML_TILE_BYTES", budget.to_string());
 }
 
+/// Labeling passes over one suite. The first pass's output is the
+/// workload's data; every later pass must reproduce it, and each pass
+/// adds a labeling rate.
+struct Labeling {
+    data: Labeled,
+    entries: Vec<String>,
+    rates: Vec<f64>,
+}
+
+impl Labeling {
+    /// Labels `suite` once; also returns the pass's seconds.
+    fn new(suite: Vec<loopml_ir::Benchmark>) -> (Labeling, f64) {
+        let (labeled, t) = session::label(&suite);
+        let entries = reference::label_entries(&suite, &labeled);
+        let rate = session::unrollable_loops(&suite) as f64 / t;
+        let data = Labeled::new(suite, labeled);
+        let labeling = Labeling {
+            data,
+            entries,
+            rates: vec![rate],
+        };
+        (labeling, t)
+    }
+
+    /// Labels the suite again with `threads` workers. A pass whose
+    /// output differs from the first pass's is one failure. Returns the
+    /// pass's entries.
+    fn again(&mut self, threads: usize, out: &mut Outcome) -> Vec<String> {
+        let (labeled, t) = with_threads(threads, || session::label(&self.data.suite));
+        let suite = &self.data.suite;
+        self.rates.push(session::unrollable_loops(suite) as f64 / t);
+        let entries = reference::label_entries(suite, &labeled);
+        out.attempted += 1;
+        out.check(
+            "passes_repeatable",
+            if entries == self.entries {
+                Check::Passed
+            } else {
+                Check::Failed(1)
+            },
+        );
+        entries
+    }
+}
+
 /// Set-up of every workload but `label`: synthesize and label the
-/// training corpus repeatedly (see [`more_setup`]). Returns the labeled
-/// corpus, the per-repetition set-up seconds and labeling rates, and
-/// records a failure for any repetition that labels differently from
-/// the first.
-fn setup_labeled(args: &Args, out: &mut Outcome) -> (Labeled, Vec<f64>, Vec<f64>) {
+/// training corpus repeatedly (see [`more_setup`]). Returns the first
+/// repetition's labeling, with a rate per repetition, and the
+/// per-repetition set-up seconds; a repetition that labels differently
+/// from the first is one failure.
+fn setup_labeled(args: &Args, out: &mut Outcome) -> (Labeling, Vec<f64>) {
     let cfg = session::suite_config(args.workload.corpus(), args.seed);
     let mut setup_s = Vec::new();
-    let mut rates = Vec::new();
-    let mut first: Option<(Vec<loopml_ir::Benchmark>, Vec<loopml::LabeledLoop>)> = None;
+    let mut first: Option<Labeling> = None;
     let started = Instant::now();
     while more_setup(setup_s.len(), started) {
         let (suite, synth_s) = session::synthesize(&cfg);
-        let (labeled, label_s) = session::label(&suite);
+        let (labeling, label_s) = Labeling::new(suite);
         setup_s.push(synth_s + label_s);
-        rates.push(session::unrollable_loops(&suite) as f64 / label_s);
-        match &first {
-            None => first = Some((suite, labeled)),
-            Some((s, l)) => {
-                let want = reference::label_entries(s, l);
-                let got = reference::label_entries(&suite, &labeled);
-                out.check("setup_repeatable", reference::compare(Some(&want), &got));
+        match &mut first {
+            None => first = Some(labeling),
+            Some(f) => {
+                f.rates.extend(&labeling.rates);
+                out.attempted += 1;
+                out.check(
+                    "setup_repeatable",
+                    if labeling.entries == f.entries {
+                        Check::Passed
+                    } else {
+                        Check::Failed(1)
+                    },
+                );
             }
         }
     }
-    let (suite, labeled) = first.expect("at least one set-up repetition");
-    (Labeled::new(suite, labeled), setup_s, rates)
+    (first.expect("at least one set-up repetition"), setup_s)
 }
 
 /// Records the corpus sizes of a labeled corpus in the run stamp.
@@ -447,7 +531,12 @@ impl Tuning {
     /// One tuning pass, checked.
     fn pass(&mut self, data: &Labeled) {
         let (full, groups) = self.data(data);
-        let tuned = session::tune(full, groups, &self.cfg);
+        let tune = || session::tune(full, groups, &self.cfg);
+        let tuned = if self.sample.is_some() {
+            with_threads(TAIL_THREADS, tune)
+        } else {
+            tune()
+        };
         self.times.push(tuned.seconds);
         self.checks.attempted += 1;
         if let Some(reference) = &self.reference {
@@ -511,18 +600,8 @@ impl Tuning {
     }
 }
 
-/// Runs a serve phase of at least `seconds` of service, calling
-/// `between_blocks` after each block of batches, and records its metrics
-/// and checks.
-fn serving_phase(
-    args: &Args,
-    model: &loopml_serve::ServeModel,
-    batches: usize,
-    seconds: f64,
-    between_blocks: &mut dyn FnMut(),
-    out: &mut Outcome,
-) {
-    let served = session::serve(model, args.seed, batches, seconds, false, between_blocks);
+/// Records what a serve phase measured and checked.
+fn record_serving(served: &Served, model: &loopml_serve::ServeModel, out: &mut Outcome) {
     let n = served.latencies_ms.len();
     out.attempted += n as u64;
     out.check(
@@ -556,107 +635,145 @@ fn serving_phase(
     );
 }
 
+/// The tail serve phase's model: a default decision tree trained on the
+/// whole corpus, over the features selection keeps on the first
+/// [`session::TAIL_PER_GROUP`] kept loops of every benchmark (the data
+/// of a tail tuning pass).
+fn tail_model(data: &Labeled) -> loopml_serve::ServeModel {
+    let (sample, _) = data.sample(session::TAIL_PER_GROUP);
+    let cols = loopml::informative_features(&sample, session::SELECT_K);
+    session::train(ServedModel::Tree, &data.full, &cols)
+}
+
+/// `label`: set-up is synthesis alone; then rounds of a labeling pass
+/// (the subject), [`TAIL_TUNE_PER_ROUND`] tail tuning passes and one
+/// tail serve block, until `--seconds` and at least
+/// [`LABEL_MIN_ROUNDS`] rounds.
+fn label_session(args: &Args, out: &mut Outcome) {
+    let cfg = session::suite_config(CorpusSize::Full, args.seed);
+    let mut setup_s = Vec::new();
+    let mut suite = Vec::new();
+    let started = Instant::now();
+    while more_setup(setup_s.len(), started) {
+        let (s, t) = session::synthesize(&cfg);
+        setup_s.push(t);
+        suite = s;
+    }
+    out.metric("setup_s", stats::median(&setup_s));
+    out.note("setup_reps", num(setup_s.len() as f64));
+    let attempted = session::unrollable_loops(&suite) as u64;
+    let reference = reference::load("label", args.seed);
+    let check_loops = |entries: &[String], out: &mut Outcome| {
+        out.attempted += attempted;
+        out.check("loops", reference::compare(reference.as_deref(), entries));
+    };
+    let started = Instant::now();
+    let (mut labeling, _) = Labeling::new(suite);
+    check_loops(&labeling.entries, out);
+    if args.record {
+        let header = format!(
+            "label: per attempted loop in suite order, FNV-1a of (label, runtimes) \
+             or - when filtered; seed {}",
+            args.seed
+        );
+        reference::record("label", args.seed, &header, &labeling.entries)
+            .expect("write the label reference");
+    }
+    let mut tuning = Tuning::new(args, &labeling.data);
+    let model = tail_model(&labeling.data);
+    let mut server = Server::new(&model, args.seed, false);
+    let mut rounds = 0;
+    loop {
+        if rounds > 0 {
+            let entries = labeling.again(args.threads, out);
+            check_loops(&entries, out);
+        }
+        for _ in 0..TAIL_TUNE_PER_ROUND {
+            tuning.pass(&labeling.data);
+        }
+        server.block(TAIL_BATCHES / LABEL_MIN_ROUNDS);
+        rounds += 1;
+        if rounds >= LABEL_MIN_ROUNDS && started.elapsed().as_secs_f64() >= args.seconds {
+            break;
+        }
+    }
+    out.metric("loops_per_s", stats::median(&labeling.rates));
+    out.note("label_passes", num(labeling.rates.len() as f64));
+    note_corpus(out, &labeling.data);
+    tuning.finish(&labeling.data, out);
+    record_serving(&server.served, &model, out);
+}
+
+/// `tune` and `tune_scaled`: set-up labels the corpus; the subject
+/// tuning pass runs between [`SIDE_ROUNDS`] tail rounds before it and as
+/// many after it, each a one-worker labeling pass and a tail serve
+/// block.
+fn tune_session(args: &Args, out: &mut Outcome) {
+    let (mut labeling, setup_s) = setup_labeled(args, out);
+    out.metric("setup_s", stats::median(&setup_s));
+    out.note("setup_reps", num(setup_s.len() as f64));
+    note_corpus(out, &labeling.data);
+    if args.workload == Workload::TuneScaled {
+        pin_tile_budget(labeling.data.full.len(), args.threads);
+    }
+    let mut tuning = Tuning::new(args, &labeling.data);
+    let model = tail_model(&labeling.data);
+    let mut server = Server::new(&model, args.seed, false);
+    // loops_per_s here is the tail passes' rate alone: they run with one
+    // worker, set-up with the workload's count.
+    labeling.rates.clear();
+    let mut tail_round = |labeling: &mut Labeling, out: &mut Outcome| {
+        labeling.again(TAIL_THREADS, out);
+        server.block(TAIL_BATCHES / (2 * SIDE_ROUNDS));
+    };
+    for _ in 0..SIDE_ROUNDS {
+        tail_round(&mut labeling, out);
+    }
+    tuning.run(&labeling.data, args.seconds);
+    for _ in 0..SIDE_ROUNDS {
+        tail_round(&mut labeling, out);
+    }
+    out.metric("loops_per_s", stats::median(&labeling.rates));
+    tuning.finish(&labeling.data, out);
+    record_serving(&server.served, &model, out);
+}
+
+/// `serve`: set-up labels the corpus, selects features and trains the
+/// paper's SVM; then blocks of [`BLOCK`] batches (the subject), each
+/// followed by a tail tuning pass, until `--seconds` of service and at
+/// least [`SERVE_BATCHES`] batches.
+fn serve_session(args: &Args, out: &mut Outcome) {
+    let (labeling, setup_s) = setup_labeled(args, out);
+    let data = &labeling.data;
+    note_corpus(out, data);
+    let t = Instant::now();
+    let cols = loopml::informative_features(&data.full, session::SELECT_K);
+    let model = session::train(ServedModel::Svm, &data.full, &cols);
+    let train_s = t.elapsed().as_secs_f64();
+    out.metric("setup_s", stats::median(&setup_s) + train_s);
+    out.note("setup_reps", num(setup_s.len() as f64));
+    out.note("train_s", num(train_s));
+    let mut tuning = Tuning::new(args, data);
+    let mut server = Server::new(&model, args.seed, false);
+    while server.served.latencies_ms.len() < SERVE_BATCHES
+        || server.served.service_s() < args.seconds
+    {
+        server.block(BLOCK);
+        tuning.pass(data);
+    }
+    tuning.run(data, 0.0);
+    out.metric("loops_per_s", stats::median(&labeling.rates));
+    tuning.finish(data, out);
+    record_serving(&server.served, &model, out);
+}
+
 /// `--trace 0`: every end-to-end metric, tracing off.
 fn untraced_run(args: &Args) -> Outcome {
     let mut out = Outcome::default();
     match args.workload {
-        Workload::Label => {
-            // Set-up is synthesis alone: labeling is the measured work.
-            let cfg = session::suite_config(CorpusSize::Full, args.seed);
-            let mut setup_s = Vec::new();
-            let mut suite = Vec::new();
-            let started = Instant::now();
-            while more_setup(setup_s.len(), started) {
-                let (s, t) = session::synthesize(&cfg);
-                setup_s.push(t);
-                suite = s;
-            }
-            out.metric("setup_s", stats::median(&setup_s));
-            out.note("setup_reps", num(setup_s.len() as f64));
-            let attempted = session::unrollable_loops(&suite);
-            let reference = reference::load("label", args.seed);
-            let mut rates = Vec::new();
-            let mut data: Option<Labeled> = None;
-            let mut tuning: Option<Tuning> = None;
-            let started = Instant::now();
-            while rates.len() < 2 || started.elapsed().as_secs_f64() < args.seconds {
-                let (labeled, t) = session::label(&suite);
-                rates.push(attempted as f64 / t);
-                out.attempted += attempted as u64;
-                let entries = reference::label_entries(&suite, &labeled);
-                out.check("loops", reference::compare(reference.as_deref(), &entries));
-                if args.record && data.is_none() {
-                    let header = format!(
-                        "label: per attempted loop in suite order, FNV-1a of (label, runtimes) \
-                         or - when filtered; seed {}",
-                        args.seed
-                    );
-                    reference::record("label", args.seed, &header, &entries)
-                        .expect("write the label reference");
-                }
-                match &data {
-                    None => data = Some(Labeled::new(suite.clone(), labeled)),
-                    Some(first) => {
-                        let want = reference::label_entries(&suite, &first.labeled);
-                        out.check(
-                            "passes_repeatable",
-                            reference::compare(Some(&want), &entries),
-                        );
-                    }
-                }
-                // The tail tuning passes run between labeling passes.
-                let data = data.as_ref().expect("labeled by the first pass");
-                tuning
-                    .get_or_insert_with(|| Tuning::new(args, data))
-                    .pass(data);
-            }
-            out.metric("loops_per_s", stats::median(&rates));
-            out.note("label_passes", num(rates.len() as f64));
-            let data = data.expect("at least one labeling pass");
-            note_corpus(&mut out, &data);
-            let mut tuning = tuning.expect("tuned after every labeling pass");
-            tuning.run(&data, 0.0);
-            let tuned = tuning.finish(&data, &mut out);
-            let model = session::train(ServedModel::Tree, &data.full, &tuned.cols);
-            serving_phase(args, &model, TAIL_BATCHES, 0.0, &mut || {}, &mut out);
-        }
-        Workload::Tune | Workload::TuneScaled | Workload::Serve => {
-            let (data, setup_s, rates) = setup_labeled(args, &mut out);
-            out.metric("setup_s", stats::median(&setup_s));
-            out.note("setup_reps", num(setup_s.len() as f64));
-            out.metric("loops_per_s", stats::median(&rates));
-            note_corpus(&mut out, &data);
-            if args.workload == Workload::TuneScaled {
-                pin_tile_budget(data.full.len(), args.threads);
-            }
-            let mut tuning = Tuning::new(args, &data);
-            if args.workload == Workload::Serve {
-                // The served model is set-up: selection and SVM training.
-                let t = Instant::now();
-                let cols = loopml::informative_features(&data.full, session::SELECT_K);
-                let model = session::train(ServedModel::Svm, &data.full, &cols);
-                let train_s = t.elapsed().as_secs_f64();
-                let synth_label = out.metrics["setup_s"];
-                out.metric("setup_s", synth_label + train_s);
-                out.note("train_s", num(train_s));
-                // The tail tuning passes run between blocks of batches.
-                serving_phase(
-                    args,
-                    &model,
-                    SERVE_BATCHES,
-                    args.seconds,
-                    &mut || tuning.pass(&data),
-                    &mut out,
-                );
-                tuning.run(&data, 0.0);
-                tuning.finish(&data, &mut out);
-            } else {
-                tuning.run(&data, args.seconds);
-                let tuned = tuning.finish(&data, &mut out);
-                let model = session::train(ServedModel::Tree, &data.full, &tuned.cols);
-                serving_phase(args, &model, TAIL_BATCHES, 0.0, &mut || {}, &mut out);
-            }
-        }
+        Workload::Label => label_session(args, &mut out),
+        Workload::Tune | Workload::TuneScaled => tune_session(args, &mut out),
+        Workload::Serve => serve_session(args, &mut out),
     }
     // Read last, so tune_scaled records the budget it pinned.
     out.note("tile_budget_bytes", num(tile_budget_bytes() as f64));
@@ -749,11 +866,15 @@ fn traced_run(args: &Args) -> Outcome {
             if args.workload == Workload::Serve {
                 let cols = loopml::informative_features(&data.full, session::SELECT_K);
                 let model = session::train(ServedModel::Svm, &data.full, &cols);
-                let untraced =
-                    session::serve(&model, args.seed, SERVE_BATCHES, 0.0, true, &mut || {});
+                let mut server = Server::new(&model, args.seed, true);
+                while server.served.latencies_ms.len() < SERVE_BATCHES {
+                    server.block(BLOCK);
+                }
+                let untraced = server.served;
                 let lines = session::Requests::new(args.seed).lines(SERVE_BATCHES);
-                let (base, _) = traced::serve(&off, &model, &lines);
-                let (t, serve_spans) = traced::serve(&clock, &model, &lines);
+                // One worker, as `Server::block` answers.
+                let (base, _) = with_threads(1, || traced::serve(&off, &model, &lines));
+                let (t, serve_spans) = with_threads(1, || traced::serve(&clock, &model, &lines));
                 spans.extend(serve_spans);
                 out.attempted += untraced.latencies_ms.len() as u64;
                 out.check(
@@ -952,11 +1073,16 @@ fn main() -> ExitCode {
     }
     std::env::set_var("LOOPML_THREADS", args.threads.to_string());
 
-    let out = if args.trace {
+    let ticks = cpu_ticks();
+    let mut out = if args.trace {
         traced_run(&args)
     } else {
         untraced_run(&args)
     };
+    if let (Some((steal0, total0)), Some((steal1, total1))) = (ticks, cpu_ticks()) {
+        let share = (steal1 - steal0) as f64 / (total1 - total0).max(1) as f64;
+        out.note("host_steal_pct", num(100.0 * share));
+    }
     let names: &[(&str, &str)] = if args.trace { &PER_LAYER } else { &END_TO_END };
     println!("{}", detail_line(&args, nproc, &out));
     println!("{}", out.result(names));

@@ -18,6 +18,8 @@ use loopml_ml::{
 use loopml_rt::{fault_key, par_map, Json};
 use loopml_serve::{Request, Response, ServeModel, ServeOptions, ServeSession, SessionReply};
 
+use crate::stats::median;
+
 /// Loops per serve request: one compilation unit's worth of queries.
 pub const BATCH: usize = 32;
 
@@ -29,8 +31,8 @@ pub const SERVE_BATCHES: usize = 1000;
 /// their highest reported percentile is p95.
 pub const TAIL_BATCHES: usize = 300;
 
-/// Batches prepared, sent and checked as one block.
-const BLOCK: usize = 100;
+/// Batches the `serve` workload prepares, sends and checks as one block.
+pub const BLOCK: usize = 100;
 
 /// Kept examples per benchmark in the data of a tail tuning phase: about
 /// 1.5 times the quick corpus's 469 examples over 72 groups.
@@ -320,13 +322,26 @@ impl Requests {
     }
 }
 
+/// Runs `f` with `threads` workers (`LOOPML_THREADS`), then restores the
+/// workload's count. Called only while no worker thread is running.
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    let workload = std::env::var("LOOPML_THREADS").ok();
+    std::env::set_var("LOOPML_THREADS", threads.to_string());
+    let r = f();
+    match workload {
+        Some(t) => std::env::set_var("LOOPML_THREADS", t),
+        None => std::env::remove_var("LOOPML_THREADS"),
+    }
+    r
+}
+
 /// What a serve phase measured and checked.
 #[derive(Debug, Default)]
 pub struct Served {
     /// Client-side milliseconds around each `answer_line` call.
     pub latencies_ms: Vec<f64>,
-    /// Factors answered.
-    pub predictions: usize,
+    /// Factors each batch answered (0 for a failed batch).
+    pub answered: Vec<usize>,
     /// Batches whose reply was an error or disagreed with
     /// `LearnedHeuristic::choose`.
     pub failed: u64,
@@ -340,66 +355,117 @@ impl Served {
         self.latencies_ms.iter().sum::<f64>() / 1e3
     }
 
-    /// Answered factors per second of client-timed service.
+    /// Answered factors per second of client-timed service, batch by
+    /// batch: the median over batches of the factors a batch answered
+    /// divided by its latency. When every batch answers its [`BATCH`]
+    /// loops this is `BATCH` over the median latency. The rate over the
+    /// whole run is a mean, which a few host stalls moved by up to 30%
+    /// between runs of the same seed.
     pub fn predictions_per_s(&self) -> f64 {
-        self.predictions as f64 / self.service_s()
+        let rates: Vec<f64> = self
+            .latencies_ms
+            .iter()
+            .zip(&self.answered)
+            .map(|(ms, &n)| n as f64 * 1e3 / ms)
+            .collect();
+        median(&rates)
     }
 }
 
-/// A closed loop with one client: sends request lines through
-/// `ServeSession::answer_line`, the next only after the previous reply,
-/// until at least `min_batches` batches and `min_seconds` of service,
-/// in blocks of [`BLOCK`] batches with `between_blocks` called after
-/// each. Each batch is timed at the client. Requests
-/// and the factors `LearnedHeuristic::choose` gives their loops are
-/// prepared before a block of batches is sent, and replies are checked
-/// after it, so neither synthesis nor checking runs between timed
-/// batches.
-pub fn serve(
-    model: &ServeModel,
-    seed: u64,
-    min_batches: usize,
-    min_seconds: f64,
+/// A closed loop with one client: request lines go through
+/// `ServeSession::answer_line`, the next only after the previous reply.
+pub struct Server<'m> {
+    model: &'m ServeModel,
+    session: ServeSession<'m>,
+    requests: Requests,
     keep_replies: bool,
-    between_blocks: &mut dyn FnMut(),
-) -> Served {
-    let mut session = ServeSession::new(model, ServeOptions::quiet());
-    let mut requests = Requests::new(seed);
-    let mut out = Served::default();
-    while out.latencies_ms.len() < min_batches || out.service_s() < min_seconds {
-        let left = min_batches.saturating_sub(out.latencies_ms.len());
-        let block = if left == 0 { BLOCK } else { left.min(BLOCK) };
-        let prepared: Vec<(String, Vec<u32>)> = (0..block)
+    /// What the blocks sent so far measured and checked.
+    pub served: Served,
+}
+
+impl<'m> Server<'m> {
+    /// A client of `model` sending the request stream of workload seed
+    /// `seed`, keeping the reply lines when `keep_replies`.
+    pub fn new(model: &'m ServeModel, seed: u64, keep_replies: bool) -> Self {
+        Server {
+            model,
+            session: ServeSession::new(model, ServeOptions::quiet()),
+            requests: Requests::new(seed),
+            keep_replies,
+            served: Served::default(),
+        }
+    }
+
+    /// Sends the next `n` batches, each timed at the client. The request
+    /// lines, and the factors `LearnedHeuristic::choose` gives their
+    /// loops, are prepared before the first timed batch and the replies
+    /// checked after the last, so neither synthesis nor checking runs
+    /// between timed batches. Batches are answered with one worker: a
+    /// batch takes about 10 ms, and fanning it out over both vCPUs of a
+    /// 2-vCPU machine times how soon the host wakes the second one,
+    /// which under load costs more than the batch's own work.
+    pub fn block(&mut self, n: usize) {
+        let prepared: Vec<(String, Vec<u32>)> = (0..n)
             .map(|_| {
-                let (line, loops) = requests.next_batch();
-                let want = par_map(&loops, |l| model.heuristic().choose(l));
+                let (line, loops) = self.requests.next_batch();
+                let want = par_map(&loops, |l| self.model.heuristic().choose(l));
                 (line, want)
             })
             .collect();
-        let mut replies = Vec::with_capacity(block);
-        for (line, _) in &prepared {
-            let t = Instant::now();
-            let reply = session.answer_line(line);
-            out.latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
-            replies.push(reply);
-        }
-        let first = out.latencies_ms.len() - block;
+        let mut replies = Vec::with_capacity(n);
+        with_threads(1, || {
+            for (line, _) in &prepared {
+                let t = Instant::now();
+                let reply = self.session.answer_line(line);
+                self.served
+                    .latencies_ms
+                    .push(t.elapsed().as_secs_f64() * 1e3);
+                replies.push(reply);
+            }
+        });
+        let first = self.served.latencies_ms.len() - n;
         for (i, ((_, want), reply)) in prepared.iter().zip(replies).enumerate() {
-            match &reply {
+            let answered = match &reply {
                 Some(SessionReply::Answer(Response::Factors {
                     id: echoed,
                     factors,
-                })) if *echoed == Json::Num((first + i) as f64) && factors == want => {
-                    out.predictions += factors.len();
+                })) if *echoed == Json::Num((first + i) as f64) && factors == want => factors.len(),
+                _ => {
+                    self.served.failed += 1;
+                    0
                 }
-                _ => out.failed += 1,
-            }
-            if keep_replies {
-                out.replies
+            };
+            self.served.answered.push(answered);
+            if self.keep_replies {
+                self.served
+                    .replies
                     .push(reply.map_or(String::new(), |r| r.to_json().to_string()));
             }
         }
-        between_blocks();
     }
-    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_stall_moves_one_batch_of_predictions_per_s_not_the_figure() {
+        let mut served = Served {
+            latencies_ms: vec![10.0; 100],
+            answered: vec![BATCH; 100],
+            ..Served::default()
+        };
+        let steady = BATCH as f64 * 100.0;
+        assert!((served.predictions_per_s() - steady).abs() < 1e-9);
+        // A 500 ms stall in one batch halves the run's mean rate...
+        served.latencies_ms[3] += 500.0;
+        let mean = served.answered.iter().sum::<usize>() as f64 / served.service_s();
+        assert!(mean < 0.7 * steady);
+        // ...but leaves the median batch where it was.
+        assert!((served.predictions_per_s() - steady).abs() < 1e-9);
+        // Failed batches answer nothing: past half of them, the median is 0.
+        served.answered[..60].fill(0);
+        assert_eq!(served.predictions_per_s(), 0.0);
+    }
 }
