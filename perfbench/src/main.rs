@@ -116,6 +116,10 @@ const TAIL_TUNE_PER_ROUND: usize = 2;
 /// Tail rounds on each side of the subject on `tune` and `tune_scaled`.
 const SIDE_ROUNDS: usize = 2;
 
+/// Benchmarks a tail labeling pass of `serve` labels: about 570 loops,
+/// half a second on one worker (the whole corpus would take four).
+const SERVE_TAIL_BENCHMARKS: usize = 8;
+
 /// Workers of every tail phase. Tail passes are short (0.2–2 s) and a
 /// short pass fanned out over both vCPUs of a 2-vCPU machine slows far
 /// more under host load than the same pass on one worker (a tail tuning
@@ -740,8 +744,10 @@ fn tune_session(args: &Args, out: &mut Outcome) {
 
 /// `serve`: set-up labels the corpus, selects features and trains the
 /// paper's SVM; then blocks of [`BLOCK`] batches (the subject), each
-/// followed by a tail tuning pass, until `--seconds` of service and at
-/// least [`SERVE_BATCHES`] batches.
+/// followed by a tail tuning pass and every other one by a one-worker
+/// labeling pass of the corpus's first [`SERVE_TAIL_BENCHMARKS`]
+/// benchmarks, until `--seconds` of service and at least
+/// [`SERVE_BATCHES`] batches.
 fn serve_session(args: &Args, out: &mut Outcome) {
     let (labeling, setup_s) = setup_labeled(args, out);
     let data = &labeling.data;
@@ -754,15 +760,20 @@ fn serve_session(args: &Args, out: &mut Outcome) {
     out.note("setup_reps", num(setup_s.len() as f64));
     out.note("train_s", num(train_s));
     let mut tuning = Tuning::new(args, data);
+    let head = data.suite[..SERVE_TAIL_BENCHMARKS].to_vec();
+    let (mut tail_labeling, _) = with_threads(TAIL_THREADS, || Labeling::new(head));
     let mut server = Server::new(&model, args.seed, false);
     while server.served.latencies_ms.len() < SERVE_BATCHES
         || server.served.service_s() < args.seconds
     {
         server.block(BLOCK);
         tuning.pass(data);
+        if server.served.latencies_ms.len().is_multiple_of(2 * BLOCK) {
+            tail_labeling.again(TAIL_THREADS, out);
+        }
     }
     tuning.run(data, 0.0);
-    out.metric("loops_per_s", stats::median(&labeling.rates));
+    out.metric("loops_per_s", stats::median(&tail_labeling.rates));
     tuning.finish(data, out);
     record_serving(&server.served, &model, out);
 }
