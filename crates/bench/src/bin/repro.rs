@@ -4,8 +4,6 @@
 //! ```text
 //! repro [--quick] [target...]        render reports (default: all)
 //! repro lint [--stats]               legality-prover corpus scan + gates
-//! repro perf [--smoke]               timed pipeline stages -> BENCH_ml.json
-//! repro perf-check <cur> <base>      fail on >2x stage regressions
 //! repro sweep [--smoke|--quick]      LOGO hyperparameter sweep -> SWEEP_ml.json
 //! repro label [--smoke] [...]        fault-tolerant labeling -> LABEL_ml.json
 //! repro label-merge <shard.json>...  merge disjoint label shards byte-identically
@@ -32,13 +30,10 @@ use std::time::Instant;
 use loopml::FEATURE_NAMES;
 use loopml_bench::cli::{self, FlagSpec, Parsed, Spec, EXIT_FAIL, EXIT_OK, EXIT_USAGE};
 use loopml_bench::{
-    experiments, labelrun, lintrun, perf, report, serverun, supervise, sweeprun, Context, Scale,
+    experiments, labelrun, lintrun, report, serverun, supervise, sweeprun, Context, Scale,
 };
 use loopml_machine::SwpMode;
 use loopml_rt::Json;
-
-/// Max allowed wall-time ratio per stage in `perf-check`.
-const REGRESSION_FACTOR: f64 = 2.0;
 
 /// Report targets accepted by the default subcommand, in `all` order.
 const ALL_TARGETS: [&str; 14] = [
@@ -80,23 +75,9 @@ const LINT_SPEC: Spec = Spec {
     }],
 };
 
-const PERF_SPEC: Spec = Spec {
-    name: "perf",
-    summary: "time each pipeline stage once and write BENCH_ml.json",
-    positionals: "",
-    flags: &[],
-};
-
-const PERF_CHECK_SPEC: Spec = Spec {
-    name: "perf-check",
-    summary: "validate a perf report and fail on >2x stage regressions",
-    positionals: "<current.json> <baseline.json>",
-    flags: &[],
-};
-
 const SWEEP_SPEC: Spec = Spec {
     name: "sweep",
-    summary: "LOGO hyperparameter sweep over one distance matrix -> SWEEP_ml.json",
+    summary: "LOGO hyperparameter sweep over one distance pass -> SWEEP_ml.json",
     positionals: "",
     flags: &[],
 };
@@ -280,11 +261,9 @@ const SERVE_STATS_CHECK_SPEC: Spec = Spec {
     ],
 };
 
-const SPECS: [Spec; 12] = [
+const SPECS: [Spec; 10] = [
     REPORT_SPEC,
     LINT_SPEC,
-    PERF_SPEC,
-    PERF_CHECK_SPEC,
     SWEEP_SPEC,
     LABEL_SPEC,
     LABEL_MERGE_SPEC,
@@ -307,8 +286,6 @@ fn run(args: &[String]) -> i32 {
             EXIT_OK
         }
         Some("lint") => dispatch(&LINT_SPEC, &args[1..], cmd_lint),
-        Some("perf") => dispatch(&PERF_SPEC, &args[1..], cmd_perf),
-        Some("perf-check") => dispatch(&PERF_CHECK_SPEC, &args[1..], cmd_perf_check),
         Some("sweep") => dispatch(&SWEEP_SPEC, &args[1..], cmd_sweep),
         Some("label") => dispatch(&LABEL_SPEC, &args[1..], cmd_label),
         Some("label-merge") => dispatch(&LABEL_MERGE_SPEC, &args[1..], cmd_label_merge),
@@ -379,43 +356,6 @@ fn cmd_lint(p: &Parsed) -> i32 {
     }
 }
 
-fn cmd_perf(p: &Parsed) -> i32 {
-    let report = perf::run(p.scale, p.corpus_scale);
-    let json = report.to_json();
-    std::fs::write("BENCH_ml.json", format!("{json}\n")).expect("write BENCH_ml.json");
-    println!("{json}");
-    eprintln!(
-        "[perf] wrote BENCH_ml.json ({} stages, greedy speedup {:.1}x)",
-        report.stages.len(),
-        report.greedy_speedup
-    );
-    EXIT_OK
-}
-
-fn cmd_perf_check(p: &Parsed) -> i32 {
-    let [current, baseline] = &p.positionals[..] else {
-        eprintln!("usage: repro perf-check <current.json> <baseline.json>");
-        return EXIT_USAGE;
-    };
-    let read_json = |path: &str| -> Result<Json, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        Json::parse(&text).map_err(|e| format!("parse {path}: {e}"))
-    };
-    let checked = read_json(current).and_then(|cur| {
-        read_json(baseline).and_then(|base| perf::check_regressions(&cur, &base, REGRESSION_FACTOR))
-    });
-    match checked {
-        Ok(()) => {
-            eprintln!("[perf-check] ok");
-            EXIT_OK
-        }
-        Err(e) => {
-            eprintln!("[perf-check] FAIL: {e}");
-            EXIT_FAIL
-        }
-    }
-}
-
 fn cmd_sweep(p: &Parsed) -> i32 {
     let run = sweeprun::run_sweep_scaled(p.scale, p.corpus_scale);
     let json = run.to_json();
@@ -423,7 +363,7 @@ fn cmd_sweep(p: &Parsed) -> i32 {
     println!("{json}");
     if run.report.distance_builds != 1 {
         eprintln!(
-            "[sweep] FAIL: {} distance-matrix builds, expected exactly 1",
+            "[sweep] FAIL: {} distance passes, expected exactly 1",
             run.report.distance_builds
         );
         return EXIT_FAIL;

@@ -17,12 +17,9 @@
 //! plus the ablations called out in `DESIGN.md` (`repro ablate-...`),
 //! the legality-prover corpus scan (`repro lint --stats`, [`lintrun`]),
 //! which gates on zero prover/oracle disagreements and affine-corpus
-//! coverage, the tracked performance harness (`repro perf`, [`perf`]),
-//! which times each pipeline stage and emits `BENCH_ml.json` for
-//! regression checks,
-//! the LOGO hyperparameter sweep (`repro sweep`, [`sweeprun`]),
-//! which selects the SVM gamma/C and NN radius over one shared distance
-//! matrix and emits `SWEEP_ml.json`, and the prediction-as-a-service
+//! coverage, the LOGO hyperparameter sweep (`repro sweep`, [`sweeprun`]),
+//! which selects every model family's hyperparameters over one streamed
+//! distance pass and emits `SWEEP_ml.json`, and the prediction-as-a-service
 //! surface (`repro train` / `repro serve-bench`, [`serverun`]), which
 //! emits the versioned model artifact `loopml-serve` loads and replays
 //! batched traffic against it, and the self-healing multi-process
@@ -41,7 +38,6 @@ pub mod context;
 pub mod experiments;
 pub mod labelrun;
 pub mod lintrun;
-pub mod perf;
 pub mod report;
 pub mod serverun;
 pub mod supervise;

@@ -52,13 +52,8 @@ pub fn pipeline_for(scale: Scale, corpus_scale: usize, smoke: bool, tune: bool) 
         b = b.take_benchmarks(8);
     }
     if tune {
-        let grid = SweepConfig::default();
         b = b.configure(PipelineConfig {
-            tune_svm: Some(grid.svm),
-            tune_nn: Some(grid.radii),
-            tune_tree: Some(grid.tree),
-            tune_forest: Some(grid.forest),
-            tune_mlp: Some(grid.mlp),
+            tune: Some(SweepConfig::default()),
             ..PipelineConfig::default()
         });
     }

@@ -3,9 +3,9 @@
 //! Builds the standard experiment context, runs the
 //! [`loopml_ml::sweep`] subsystem (SVM gamma × C grid plus NN radii,
 //! plus the distance-free tree / forest / MLP grids, every cell scored
-//! by leave-one-benchmark-out accuracy over exactly one shared distance
-//! matrix), and emits a machine-readable `loopml/sweep/v1` document to
-//! stdout and `SWEEP_ml.json`. The document carries every family's
+//! by leave-one-benchmark-out accuracy over exactly one streamed
+//! distance pass), and emits a machine-readable `loopml/sweep/v1`
+//! document to stdout and `SWEEP_ml.json`. The document carries every family's
 //! grid, the selected point per family, the cross-family winner,
 //! wall-time, and the distance-build counter — the CLI exits nonzero if
 //! that counter is not exactly 1 or if fewer than two families were
@@ -31,7 +31,7 @@ pub struct SweepRun {
     /// Worker threads the runtime used (`LOOPML_THREADS` honored).
     pub threads: usize,
     /// Wall-clock milliseconds for the sweep itself (context build
-    /// excluded — labeling time is `repro perf`'s business).
+    /// excluded — labeling time is perfbench's business).
     pub wall_ms: f64,
     /// The sweep result.
     pub report: SweepReport,

@@ -25,8 +25,8 @@ use loopml_corpus::{full_suite, SuiteConfig};
 use loopml_ir::Benchmark;
 use loopml_machine::SwpMode;
 use loopml_ml::{
-    Classifier, CvResult, Dataset, ForestGrid, ForestParams, MlpGrid, MlpParams, SvmGrid,
-    SvmParams, SweepConfig, SweepReport, TreeGrid, TreeParams, DEFAULT_RADIUS,
+    Classifier, CvResult, Dataset, ForestParams, MlpParams, SvmParams, SweepConfig, SweepReport,
+    TreeParams, DEFAULT_RADIUS,
 };
 
 use crate::artifact::{model_fingerprint, ModelArtifact};
@@ -41,33 +41,22 @@ use crate::pipeline::{benchmark_groups, informative_features, to_dataset};
 /// Typed run configuration for [`PipelineBuilder`], consumed once at
 /// [`build`](PipelineBuilder::build).
 ///
-/// This replaces the builder's older accumulated toggles — `.resilient()`
-/// arming the fault-tolerant path, `.tune_svm()` / `.tune_nn()` arming
-/// sweeps, lint levels riding in via the environment — with one struct
-/// that states the whole run policy in a single place. The default is
-/// the paper's plain run: no resilience wrapper (unless `LOOPML_FAULTS`
-/// forces it), no tuning, lint as the label config armed it.
+/// One struct states the whole run policy in a single place. The default
+/// is the paper's plain run: no resilience wrapper (unless
+/// `LOOPML_FAULTS` forces it), no tuning, lint as the label config armed
+/// it.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineConfig {
     /// Label through the fault-tolerant path with this policy. `None`
     /// still auto-switches to resilient labeling when `LOOPML_FAULTS`
     /// is active, so chaos runs never crash the builder.
     pub resilience: Option<ResilienceConfig>,
-    /// Sweep the SVM gamma × C grid during `build`;
-    /// [`Pipeline::svm_params`] then returns the winner.
-    pub tune_svm: Option<SvmGrid>,
-    /// Sweep the NN neighborhood radius during `build`;
-    /// [`Pipeline::nn_radius`] then returns the winner.
-    pub tune_nn: Option<Vec<f64>>,
-    /// Sweep the decision-tree depth × min-leaf grid during `build`;
-    /// [`Pipeline::tree_params`] then returns the winner.
-    pub tune_tree: Option<TreeGrid>,
-    /// Sweep the bagged-forest ensemble sizes during `build`;
-    /// [`Pipeline::forest_params`] then returns the winner.
-    pub tune_forest: Option<ForestGrid>,
-    /// Sweep the MLP width × learning-rate grid during `build`;
-    /// [`Pipeline::mlp_params`] then returns the winner.
-    pub tune_mlp: Option<MlpGrid>,
+    /// Run this LOGO sweep during `build` (see [`loopml_ml::sweep`]);
+    /// [`Pipeline::svm_params`], [`Pipeline::nn_radius`],
+    /// [`Pipeline::tree_params`], [`Pipeline::forest_params`] and
+    /// [`Pipeline::mlp_params`] then return each swept family's winner.
+    /// A family whose grid is empty is not swept and keeps its defaults.
+    pub tune: Option<SweepConfig>,
     /// Override the lint enforcement level (normally armed by the label
     /// config, which reads `LOOPML_LINT`).
     pub lint: Option<loopml_lint::LintLevel>,
@@ -119,8 +108,7 @@ impl PipelineBuilder {
     }
 
     /// Sets the whole run policy in one place (resilience, tuning,
-    /// lint). Replaces any previously accumulated configuration,
-    /// including from the deprecated per-toggle methods.
+    /// lint). Replaces any previously set configuration.
     pub fn configure(mut self, config: PipelineConfig) -> Self {
         self.config = config;
         self
@@ -187,38 +175,6 @@ impl PipelineBuilder {
     /// Trains on all 38 features, skipping feature selection.
     pub fn all_features(mut self) -> Self {
         self.feature_count = None;
-        self
-    }
-
-    /// Labels through the fault-tolerant path
-    /// ([`label_suite_resilient`]): retries, quarantine and (when
-    /// configured) checkpointing, with the degradation accounting kept
-    /// on the pipeline. Without this call, `build` still switches to the
-    /// resilient path automatically when `LOOPML_FAULTS` is active, so
-    /// chaos runs never crash the builder.
-    #[deprecated(note = "set `PipelineConfig::resilience` via `configure`")]
-    pub fn resilient(mut self, cfg: ResilienceConfig) -> Self {
-        self.config.resilience = Some(cfg);
-        self
-    }
-
-    /// Sweeps the SVM gamma × C grid by leave-one-benchmark-out accuracy
-    /// during `build` (one shared distance matrix, see
-    /// [`loopml_ml::sweep`]); [`Pipeline::svm_params`] then returns the
-    /// winner instead of the paper defaults.
-    #[deprecated(note = "set `PipelineConfig::tune_svm` via `configure`")]
-    pub fn tune_svm(mut self, grid: SvmGrid) -> Self {
-        self.config.tune_svm = Some(grid);
-        self
-    }
-
-    /// Sweeps the NN neighborhood radius over `radii` by
-    /// leave-one-benchmark-out accuracy during `build`;
-    /// [`Pipeline::nn_radius`] then returns the winner instead of the
-    /// paper's 0.3.
-    #[deprecated(note = "set `PipelineConfig::tune_nn` via `configure`")]
-    pub fn tune_nn(mut self, radii: Vec<f64>) -> Self {
-        self.config.tune_nn = Some(radii);
         self
     }
 
@@ -295,39 +251,10 @@ impl PipelineBuilder {
             lint.merge(loopml_lint::lint_dataset(&full_dataset, Some(&groups)));
             lint.enforce(label_config.lint, "training dataset");
         }
-        let tune_any = self.config.tune_svm.is_some()
-            || self.config.tune_nn.is_some()
-            || self.config.tune_tree.is_some()
-            || self.config.tune_forest.is_some()
-            || self.config.tune_mlp.is_some();
-        let sweep = if tune_any {
-            // A missing axis sweeps nothing on that family and keeps its
-            // paper default (empty grids select the fallback).
-            let cfg = SweepConfig {
-                svm: self.config.tune_svm.unwrap_or(SvmGrid {
-                    gammas: Vec::new(),
-                    cs: Vec::new(),
-                    ..SvmGrid::default()
-                }),
-                radii: self.config.tune_nn.unwrap_or_default(),
-                tree: self.config.tune_tree.unwrap_or(TreeGrid {
-                    max_depths: Vec::new(),
-                    min_leafs: Vec::new(),
-                }),
-                forest: self.config.tune_forest.unwrap_or(ForestGrid {
-                    sizes: Vec::new(),
-                    ..ForestGrid::default()
-                }),
-                mlp: self.config.tune_mlp.unwrap_or(MlpGrid {
-                    hiddens: Vec::new(),
-                    lrs: Vec::new(),
-                    ..MlpGrid::default()
-                }),
-            };
-            Some(loopml_ml::sweep(&dataset, &groups, &cfg))
-        } else {
-            None
-        };
+        let sweep = self
+            .config
+            .tune
+            .map(|cfg| loopml_ml::sweep(&dataset, &groups, &cfg));
         Pipeline {
             suite,
             labeled,
@@ -369,10 +296,8 @@ pub struct Pipeline {
     /// fault-tolerant path (`None` for the plain path).
     pub degradation: Option<DegradationReport>,
     /// The hyperparameter sweep report when the builder was asked to
-    /// tune ([`PipelineBuilder::tune_svm`] / [`tune_nn`]); `None` means
-    /// paper defaults throughout.
-    ///
-    /// [`tune_nn`]: PipelineBuilder::tune_nn
+    /// tune ([`PipelineConfig::tune`]); `None` means paper defaults
+    /// throughout.
     pub sweep: Option<SweepReport>,
 }
 
@@ -533,11 +458,37 @@ impl Pipeline {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the forwarder tests below exercise the old toggle API
 mod tests {
     use super::*;
     use crate::heuristics::UnrollHeuristic;
-    use loopml_ml::{Constant, NearNeighbors, DEFAULT_RADIUS};
+    use loopml_ml::{
+        Constant, ForestGrid, MlpGrid, NearNeighbors, SvmGrid, TreeGrid, DEFAULT_RADIUS,
+    };
+
+    /// A sweep over only the given SVM grid and NN radii: every other
+    /// family's grid is empty.
+    fn tune_svm_nn(svm: SvmGrid, radii: Vec<f64>) -> PipelineConfig {
+        PipelineConfig {
+            tune: Some(SweepConfig {
+                svm,
+                radii,
+                tree: TreeGrid {
+                    max_depths: vec![],
+                    min_leafs: vec![],
+                },
+                forest: ForestGrid {
+                    sizes: vec![],
+                    ..ForestGrid::default()
+                },
+                mlp: MlpGrid {
+                    hiddens: vec![],
+                    lrs: vec![],
+                    ..MlpGrid::default()
+                },
+            }),
+            ..PipelineConfig::default()
+        }
+    }
 
     fn quick() -> PipelineBuilder {
         PipelineBuilder::paper()
@@ -621,13 +572,11 @@ mod tests {
         let radii = vec![0.2, 0.3, 0.5, 0.8];
         let p = quick()
             .exact()
-            .tune_svm(grid.clone())
-            .tune_nn(radii.clone())
+            .configure(tune_svm_nn(grid.clone(), radii.clone()))
             .build();
         let sweep = p.sweep.as_ref().expect("tuning ran");
         assert_eq!(sweep.svm_cells.len(), 4);
         assert_eq!(sweep.nn_cells.len(), 4);
-        assert_eq!(sweep.distance_builds, 1);
         assert!(grid.gammas.contains(&p.svm_params().gamma));
         assert!(grid.cs.contains(&p.svm_params().c));
         assert!(radii.contains(&p.nn_radius()));
@@ -638,18 +587,26 @@ mod tests {
         let p = quick()
             .exact()
             .configure(PipelineConfig {
-                tune_tree: Some(TreeGrid {
-                    max_depths: vec![2, 4],
-                    min_leafs: vec![1],
-                }),
-                tune_forest: Some(ForestGrid {
-                    sizes: vec![4],
-                    ..ForestGrid::default()
-                }),
-                tune_mlp: Some(MlpGrid {
-                    hiddens: vec![4],
-                    lrs: vec![0.1],
-                    ..MlpGrid::default()
+                tune: Some(SweepConfig {
+                    svm: SvmGrid {
+                        gammas: vec![],
+                        cs: vec![],
+                        ..SvmGrid::default()
+                    },
+                    radii: vec![],
+                    tree: TreeGrid {
+                        max_depths: vec![2, 4],
+                        min_leafs: vec![1],
+                    },
+                    forest: ForestGrid {
+                        sizes: vec![4],
+                        ..ForestGrid::default()
+                    },
+                    mlp: MlpGrid {
+                        hiddens: vec![4],
+                        lrs: vec![0.1],
+                        ..MlpGrid::default()
+                    },
                 }),
                 ..PipelineConfig::default()
             })
@@ -670,28 +627,19 @@ mod tests {
 
     #[test]
     fn tuning_one_axis_keeps_the_other_at_defaults() {
-        let p = quick().exact().tune_nn(vec![0.2, 0.4]).build();
+        let no_svm = SvmGrid {
+            gammas: vec![],
+            cs: vec![],
+            ..SvmGrid::default()
+        };
+        let p = quick()
+            .exact()
+            .configure(tune_svm_nn(no_svm, vec![0.2, 0.4]))
+            .build();
         let sweep = p.sweep.as_ref().expect("tuning ran");
         assert!(sweep.svm_cells.is_empty());
         assert_eq!(p.svm_params(), SvmParams::default());
         assert!([0.2, 0.4].contains(&p.nn_radius()));
-    }
-
-    #[test]
-    fn configure_matches_the_deprecated_toggles() {
-        let radii = vec![0.2, 0.4];
-        let via_config = quick()
-            .exact()
-            .configure(PipelineConfig {
-                tune_nn: Some(radii.clone()),
-                ..PipelineConfig::default()
-            })
-            .build();
-        let via_toggle = quick().exact().tune_nn(radii).build();
-        assert_eq!(via_config.labeled, via_toggle.labeled);
-        assert_eq!(via_config.nn_radius(), via_toggle.nn_radius());
-        let s = via_config.sweep.as_ref().expect("tuning ran");
-        assert!(s.svm_cells.is_empty());
     }
 
     #[test]
@@ -792,7 +740,12 @@ mod tests {
     fn resilient_build_matches_plain_build_without_faults() {
         let plain = quick().build();
         assert!(plain.degradation.is_none());
-        let resilient = quick().resilient(ResilienceConfig::default()).build();
+        let resilient = quick()
+            .configure(PipelineConfig {
+                resilience: Some(ResilienceConfig::default()),
+                ..PipelineConfig::default()
+            })
+            .build();
         let report = resilient.degradation.as_ref().expect("resilient path");
         assert_eq!(resilient.labeled, plain.labeled);
         assert!(report.quarantined.is_empty());

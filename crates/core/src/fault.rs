@@ -169,7 +169,7 @@ pub struct BenchmarkOutcome {
 
 /// Machine-readable summary of how degraded a labeling run was.
 ///
-/// Written next to `BENCH_ml.json` as `LABEL_degradation.json` by
+/// Written next to `LABEL_ml.json` as `LABEL_degradation.json` by
 /// `repro label`. Everything serialized here is a pure function of the
 /// run's inputs (seed, corpus, fault plane), so a resumed run emits a
 /// byte-identical report; the operational [`resumed`](Self::resumed)

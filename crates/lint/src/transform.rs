@@ -327,8 +327,8 @@ pub enum OracleMode {
     #[default]
     ProverGated,
     /// Pre-prover behavior: the oracle runs on every non-indirect
-    /// (loop, factor) pair. Kept for the perf harness to measure the
-    /// oracle-skip speedup, and as a belt-and-braces mode.
+    /// (loop, factor) pair. Kept as the reference the prover-gated scan
+    /// is tested against, and as a belt-and-braces mode.
     Always,
 }
 

@@ -31,7 +31,8 @@
 //! [`DistanceMatrix`] is the companion full-subset cache: compute the
 //! pairwise distances once, then derive an RBF kernel for *any* gamma via
 //! [`crate::KernelCache::from_distances`] without re-touching feature
-//! vectors (the enabler for gamma sweeps).
+//! vectors. The LOGO sweep derives its kernels from the same distances
+//! streamed row by row, so it never holds the n×n matrix.
 
 use crate::dataset::{dist2, Dataset, MinMaxNormalizer};
 use loopml_rt::par_map_threads;
@@ -60,15 +61,16 @@ pub(crate) fn record_streaming_build() {
 }
 
 /// Live bytes currently held in pairwise-distance buffers (dense
-/// matrices, greedy base matrices, streaming tiles).
+/// matrices, greedy base matrices and strips, the sweep's streamed rows).
 static CUR_BYTES: AtomicU64 = AtomicU64::new(0);
 /// High-water mark of [`CUR_BYTES`] since the last reset.
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// High-water mark, in bytes, of concurrently-live pairwise-distance
 /// buffers since the last [`reset_distance_bytes`]. This is the number
-/// the scaling gate bounds: tiled/streaming evaluation keeps it at
-/// `workers · tile_rows · n · 8` instead of `n² · 8`.
+/// the memory-contract test bounds: greedy selection past the budget
+/// keeps it at `workers · tile_rows · n · 8` instead of `n² · 8`, and
+/// the sweep at `workers · n · 8`.
 pub fn peak_distance_bytes() -> u64 {
     PEAK_BYTES.load(Ordering::Relaxed)
 }
@@ -103,21 +105,20 @@ impl Drop for DistAlloc {
     }
 }
 
-/// Live bytes currently held in RBF kernel buffers (full per-gamma
-/// matrices and the streaming sweep's kernel strips) — the *other*
-/// quadratic resident, called out in ROADMAP as the largest matrices the
-/// sweep keeps. Tracked by the same RAII discipline as the distance
-/// buffers so the scaling gate accounts for every n×n allocation, not
+/// Live bytes currently held in RBF kernel buffers (one n×n matrix per
+/// gamma) — the *other* quadratic resident, and the largest matrices
+/// the sweep keeps. Tracked by the same RAII discipline as the distance
+/// buffers so the memory accounting covers every n×n allocation, not
 /// just distances.
 static KERNEL_CUR: AtomicU64 = AtomicU64::new(0);
 /// High-water mark of [`KERNEL_CUR`] since the last reset.
 static KERNEL_PEAK: AtomicU64 = AtomicU64::new(0);
 
 /// High-water mark, in bytes, of concurrently-live RBF kernel buffers
-/// since the last [`reset_kernel_bytes`]. Reported as
-/// `peak_kernel_bytes` in `BENCH_ml.json`, where the scaling gate bounds
-/// it — a budget claim over distance bytes alone is vacuous if per-gamma
-/// kernels dwarf it unobserved.
+/// since the last [`reset_kernel_bytes`]. The memory-contract test
+/// bounds the sweep's at one kernel per gamma — a budget claim over
+/// distance bytes alone is vacuous if per-gamma kernels dwarf it
+/// unobserved.
 pub fn peak_kernel_bytes() -> u64 {
     KERNEL_PEAK.load(Ordering::Relaxed)
 }
@@ -160,8 +161,8 @@ impl Drop for KernelAlloc {
     }
 }
 
-/// Default budget a full n×n distance buffer may occupy before the ML
-/// hot paths switch to tiled/streaming evaluation: 256 MiB.
+/// Default budget a full n×n distance buffer may occupy before greedy
+/// selection switches to row strips: 256 MiB.
 pub const DEFAULT_TILE_BUDGET_BYTES: u64 = 256 * 1024 * 1024;
 
 /// The distance-buffer budget in bytes. `LOOPML_TILE_BYTES` overrides

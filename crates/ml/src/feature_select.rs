@@ -169,7 +169,10 @@ pub fn greedy_forward_nn(data: &Dataset, steps: usize) -> Vec<GreedyStep> {
 /// fits the [`tile_budget_bytes`] budget it is held dense and updated
 /// incrementally; past the budget the search switches to
 /// [`greedy_forward_nn_tiled_threads`], which streams row strips and
-/// never materializes the full matrix. Both strategies are bit-identical.
+/// never materializes the full matrix. Both strategies are bit-identical;
+/// the dense one stays because it adds each selected feature once rather
+/// than re-accumulating the whole selection every round, which measures
+/// faster wherever the matrix fits (DESIGN.md §13).
 pub fn greedy_forward_nn_threads(data: &Dataset, steps: usize, threads: usize) -> Vec<GreedyStep> {
     let d = data.dims();
     let n = data.len();
@@ -201,19 +204,14 @@ pub fn greedy_forward_nn_threads(data: &Dataset, steps: usize, threads: usize) -
     trace
 }
 
-/// Greedy forward 1-NN selection over row strips: like
-/// [`greedy_forward_nn`], but the accumulated base matrix is never
+/// Greedy forward 1-NN selection over row strips, on `threads` workers:
+/// like [`greedy_forward_nn`], but the accumulated base matrix is never
 /// materialized — each worker rebuilds a `tile_rows × n` strip of it
 /// (selected contributions re-accumulated in selection order) per
 /// round, bounding peak memory at `workers · tile_rows · n · 8` bytes.
 /// Trades O(n²·|S|) recompute work per round for the O(n²) memory; the
 /// trace is bit-identical to the dense path at any tile size and any
 /// thread count.
-pub fn greedy_forward_nn_tiled(data: &Dataset, steps: usize, tile_rows: usize) -> Vec<GreedyStep> {
-    greedy_forward_nn_tiled_threads(data, steps, tile_rows, num_threads())
-}
-
-/// [`greedy_forward_nn_tiled`] with an explicit worker count.
 pub fn greedy_forward_nn_tiled_threads(
     data: &Dataset,
     steps: usize,

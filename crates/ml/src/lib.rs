@@ -29,7 +29,7 @@
 //!   O(n²) accumulate (distances are additive across features);
 //! * [`sweep`] — LOGO-scored hyperparameter selection across every model
 //!   family (SVM gamma × C grid, NN radius, tree depth/min-leaf, forest
-//!   size, MLP width/lr) over exactly one shared distance matrix, with a
+//!   size, MLP width/lr) over exactly one streamed distance pass, with a
 //!   deterministic cross-family winner;
 //! * [`linalg`] — the small dense linear-algebra kernel underneath LDA.
 //!
@@ -81,9 +81,9 @@ pub use distcache::{
     DEFAULT_TILE_BUDGET_BYTES,
 };
 pub use feature_select::{
-    greedy_forward, greedy_forward_nn, greedy_forward_nn_threads, greedy_forward_nn_tiled,
-    greedy_forward_nn_tiled_threads, greedy_forward_threads, mutual_information,
-    nn1_training_error, GreedyStep, ScoredFeature, MIS_BINS,
+    greedy_forward, greedy_forward_nn, greedy_forward_nn_threads, greedy_forward_nn_tiled_threads,
+    greedy_forward_threads, mutual_information, nn1_training_error, GreedyStep, ScoredFeature,
+    MIS_BINS,
 };
 pub use forest::{BaggedForest, ForestParams};
 pub use lda::Lda2d;
@@ -96,8 +96,8 @@ pub use mlp::{Mlp, MlpParams};
 pub use nn::{NearNeighbors, NnPrediction, DEFAULT_RADIUS};
 pub use svm::{decode, KernelCache, MulticlassSvm, SvmParams};
 pub use sweep::{
-    sweep, sweep_threads, sweep_tiled_threads, ForestCell, ForestGrid, MlpCell, MlpGrid,
-    RadiusCell, SvmCell, SvmGrid, SweepConfig, SweepReport, TreeCell, TreeGrid,
+    sweep, sweep_threads, ForestCell, ForestGrid, MlpCell, MlpGrid, RadiusCell, SvmCell, SvmGrid,
+    SweepConfig, SweepReport, TreeCell, TreeGrid,
 };
 pub use tree::{DecisionTree, TreeParams};
 

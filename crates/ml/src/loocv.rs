@@ -85,7 +85,7 @@ pub fn loocv_nn(data: &Dataset, radius: f64) -> CvResult {
 }
 
 /// [`loocv_nn`] with an explicit worker count (used by the equivalence
-/// tests and the scaled perf stages to pin the fan-out). Folds are
+/// tests to pin the fan-out). Folds are
 /// batched into contiguous blocks — one scheduling unit per worker
 /// instead of one per query — which matters once the corpus scales to
 /// tens of thousands of loops; predictions are position-indexed, so any

@@ -133,27 +133,26 @@ impl KernelCache {
         }
     }
 
-    /// Builds a kernel cache from already-materialized entries — the
-    /// streaming sweep derives RBF rows strip by strip (bit-identical to
-    /// [`from_distances`](KernelCache::from_distances)) and assembles
-    /// them here without ever holding a full distance matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is not n×n.
-    pub(crate) fn from_parts(n: usize, k: Vec<f64>) -> Self {
-        assert_eq!(k.len(), n * n, "kernel must be n×n");
-        let alloc = KernelAlloc::new((n * n * 8) as u64);
+    /// An all-zero n×n cache for the streaming sweep to fill row by row
+    /// through [`entries_mut`](KernelCache::entries_mut), bit-identical
+    /// to [`from_distances`](KernelCache::from_distances), without ever
+    /// holding a full distance matrix.
+    pub(crate) fn zeroed(n: usize) -> Self {
         KernelCache {
             n,
-            k,
-            _alloc: alloc,
+            k: vec![0.0; n * n],
+            _alloc: KernelAlloc::new((n * n * 8) as u64),
         }
     }
 
     #[inline]
     fn row(&self, i: usize) -> &[f64] {
         &self.k[i * self.n..(i + 1) * self.n]
+    }
+
+    /// The flat n×n kernel entries, row-major, for in-place filling.
+    pub(crate) fn entries_mut(&mut self) -> &mut [f64] {
+        &mut self.k
     }
 
     /// The flat n×n kernel entries — exposed so sweep tests can compare a

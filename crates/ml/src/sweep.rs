@@ -1,25 +1,26 @@
-//! Hyperparameter sweeps over one cached distance matrix.
+//! Hyperparameter sweeps over one streamed distance pass.
 //!
 //! The paper fixes the NN radius (0.3) and the SVM kernel width by hand;
 //! this module *selects* them by the same train-many/pick-by-held-out-
 //! error discipline the paper applies to feature selection (§6). The
-//! expensive object every candidate shares is the n×n pairwise distance
-//! matrix over normalized features, and everything downstream is a cheap
+//! expensive quantity every candidate shares is the pairwise distance
+//! over normalized features, and everything downstream is a cheap
 //! function of it:
 //!
-//! * an RBF kernel for any gamma is one exp-pass over the matrix
-//!   ([`KernelCache::from_distances`]) — never a second O(n²·d) distance
-//!   computation;
+//! * an RBF kernel for any gamma is one exp per distance — never a
+//!   second O(n²·d) distance computation;
 //! * a different C re-runs coordinate descent on an existing kernel;
-//! * a different NN radius is just a new threshold over cached d².
+//! * a different NN radius is just a new threshold over the same d².
 //!
-//! So the whole sweep performs **exactly one** [`DistanceMatrix::compute`]
-//! (asserted via [`distance_builds`] by tests and by the `repro sweep`
-//! report). Each grid cell is scored by leave-one-benchmark-out (LOGO)
-//! accuracy — the Figure 4/5 protocol: all loops of a benchmark are
-//! excluded from training when that benchmark is evaluated. For the SVM
-//! this uses the dual coordinate-descent trainer's active-set restriction:
-//! dual variables stay zero outside the training fold, so the full-corpus
+//! So the whole sweep evaluates every pairwise distance **exactly once**,
+//! row by row, feeding each row to the radius tallies and to every
+//! gamma's kernel before the next row overwrites it (asserted via
+//! [`distance_builds`] by tests and by the `repro sweep` report). Each
+//! grid cell is scored by leave-one-benchmark-out (LOGO) accuracy — the
+//! Figure 4/5 protocol: all loops of a benchmark are excluded from
+//! training when that benchmark is evaluated. For the SVM this uses the
+//! dual coordinate-descent trainer's active-set restriction: dual
+//! variables stay zero outside the training fold, so the full-corpus
 //! kernel serves every fold without per-fold kernels.
 //!
 //! Beyond the paper's two models, the sweep carries a **model-family
@@ -28,27 +29,25 @@
 //! against the NN and SVM winners, yielding a single cross-family winner
 //! per report. These families are *distance-free* — each cell refits on
 //! raw feature vectors per fold (with per-fold min-max normalization,
-//! unlike the shared-matrix NN/SVM path; see DESIGN.md §16) and never
-//! touches the distance matrix, so [`distance_builds`] still advances by
+//! unlike the shared-pass NN/SVM path; see DESIGN.md §16) and never
+//! touches the distances, so [`distance_builds`] still advances by
 //! exactly one per sweep. Ties between families go to the fixed order
 //! NN, SVM, tree, forest, MLP.
 //!
 //! One deliberate deviation from a fully per-fold protocol: features are
 //! min-max normalized over the *full* dataset, not refitted per LOGO fold
-//! (refitting would need per-fold distance matrices, defeating the single
-//! shared cache). The same normalization is used for every cell, so the
+//! (refitting would need per-fold distances, defeating the single shared
+//! pass). The same normalization is used for every cell, so the
 //! comparison between cells — the argmax the sweep exists to find — is
 //! apples-to-apples. See DESIGN.md §10.
 //!
-//! Grid cells fan out across [`loopml_rt::par_map`] workers; every unit
-//! of work is a pure function and per-cell error tallies are integers, so
-//! results are bit-identical at any `LOOPML_THREADS` setting.
+//! Rows and grid cells fan out across [`loopml_rt::par_map`] workers;
+//! every unit of work is a pure function and per-cell error tallies are
+//! integers, so results are bit-identical at any `LOOPML_THREADS`
+//! setting.
 
 use crate::dataset::{dist2, Dataset, MinMaxNormalizer};
-use crate::distcache::{
-    distance_builds, record_streaming_build, tile_budget_bytes, tile_rows_for, DistAlloc,
-    DistanceMatrix, KernelAlloc,
-};
+use crate::distcache::{distance_builds, record_streaming_build, DistAlloc};
 use crate::forest::{BaggedForest, ForestParams};
 use crate::loocv::logo_accuracy_threads;
 use crate::mlp::{Mlp, MlpParams};
@@ -56,6 +55,7 @@ use crate::nn::DEFAULT_RADIUS;
 use crate::svm::{decision_at, decode, train_binary, KernelCache, SvmParams};
 use crate::tree::{DecisionTree, TreeParams};
 use loopml_rt::{num_threads, par_map_threads};
+use std::sync::Mutex;
 
 /// The gamma × C grid swept for the SVM, plus the non-swept
 /// hyperparameters every cell shares.
@@ -285,9 +285,10 @@ pub struct SweepReport {
     /// LOGO accuracy of [`winner_family`](Self::winner_family) (0.0 when
     /// no family scored anything).
     pub winner_accuracy: f64,
-    /// How many [`DistanceMatrix::compute`] calls the sweep performed —
-    /// the design says exactly one, and this is the proof. The
-    /// distance-free families (tree, forest, MLP) never advance it.
+    /// How many pairwise distance passes the sweep performed (the
+    /// [`distance_builds`] delta) — the design says exactly one, and this
+    /// is the proof. The distance-free families (tree, forest, MLP) never
+    /// advance it.
     pub distance_builds: u64,
     /// Number of examples swept over.
     pub n_examples: usize,
@@ -295,9 +296,9 @@ pub struct SweepReport {
     pub n_groups: usize,
 }
 
-/// Sweeps the SVM grid and NN radii over `data`, scoring every candidate
-/// by leave-one-group-out accuracy (`group[i]` is example `i`'s
-/// benchmark), with exactly one pairwise distance computation.
+/// Sweeps every family's grid over `data`, scoring every candidate by
+/// leave-one-group-out accuracy (`group[i]` is example `i`'s benchmark),
+/// with exactly one pairwise distance pass.
 ///
 /// # Panics
 ///
@@ -309,148 +310,23 @@ pub fn sweep(data: &Dataset, group: &[usize], cfg: &SweepConfig) -> SweepReport 
 /// [`sweep`] with an explicit worker count (used by the determinism tests
 /// to force serial vs. multi-threaded execution).
 ///
-/// Picks its own memory strategy: when the n×n distance matrix fits the
-/// [`tile_budget_bytes`] budget it is materialized once and shared
-/// (every kernel an exp-pass over it); past the budget the sweep runs
-/// [`sweep_tiled_threads`], which streams the distance pass row by row
-/// and never holds more than `workers · n · 8` distance bytes. Both
-/// strategies are bit-identical.
+/// The pairwise distance pass is streamed ([`stream_rows`]): the full
+/// n×n distance matrix never exists, distance memory stays at
+/// `workers · n · 8` bytes, and kernel memory is the `G · n² · 8` bytes
+/// the SVM trainer needs for G gammas.
 pub fn sweep_threads(
     data: &Dataset,
     group: &[usize],
     cfg: &SweepConfig,
     threads: usize,
 ) -> SweepReport {
-    let n = data.len();
-    let dense_bytes = (n as u64) * (n as u64) * 8;
-    if dense_bytes > tile_budget_bytes() {
-        return sweep_tiled_threads(data, group, cfg, tile_rows_for(n, threads), threads);
-    }
     assert!(!data.is_empty(), "cannot sweep an empty dataset");
     assert_eq!(group.len(), data.len(), "one group per example");
     let builds_before = distance_builds();
 
-    let xs = MinMaxNormalizer::fit(&data.x).transform(&data.x);
-    let dm = DistanceMatrix::compute(&xs);
-
-    // One kernel per gamma, each an exp-pass over the shared matrix.
-    let kernels: Vec<KernelCache> = par_map_threads(threads, &cfg.svm.gammas, |&g| {
-        KernelCache::from_distances(&dm, g)
-    });
-
-    // NN: a radius is a threshold over the cached d² — replicate
-    // `predict_excluding`'s vote semantics with the whole group excluded.
-    let radius_indices: Vec<usize> = (0..cfg.radii.len()).collect();
-    let nn_cells: Vec<RadiusCell> = par_map_threads(threads, &radius_indices, |&ri| {
-        let r2 = cfg.radii[ri] * cfg.radii[ri];
-        let mut correct = 0u64;
-        for i in 0..n {
-            if nn_predict_row(dm.row(i), i, data, group, r2) == data.y[i] {
-                correct += 1;
-            }
-        }
-        RadiusCell {
-            radius: cfg.radii[ri],
-            accuracy: correct as f64 / n as f64,
-        }
-    });
-
-    finish_report(data, group, cfg, threads, &kernels, nn_cells, builds_before)
-}
-
-/// Streaming sibling of [`sweep_threads`]: the pairwise distance pass is
-/// evaluated in row strips of `tile_rows` examples, each worker holding
-/// one n-length distance row at a time. Every row immediately feeds (a)
-/// each gamma's kernel strip — the same `exp(-γ·d²) + 1` entries
-/// [`KernelCache::from_distances`] produces — and (b) the NN radius
-/// tallies, then is overwritten; the full n×n distance matrix never
-/// exists. The assembled kernels are what the SVM trainer inherently
-/// needs, so kernel memory is unchanged; *distance* memory drops from
-/// `n² · 8` to `workers · n · 8` bytes. Counts toward
-/// [`distance_builds`] as one build (every pair is touched exactly
-/// once). Bit-identical to the dense path at any `tile_rows` and any
-/// `threads`: `dist2` is bitwise symmetric, so row-major evaluation
-/// equals the mirrored dense matrix, and all tallies are integers.
-///
-/// # Panics
-///
-/// Panics if `data` is empty, `group.len() != data.len()`, or
-/// `tile_rows` is zero.
-pub fn sweep_tiled_threads(
-    data: &Dataset,
-    group: &[usize],
-    cfg: &SweepConfig,
-    tile_rows: usize,
-    threads: usize,
-) -> SweepReport {
-    assert!(!data.is_empty(), "cannot sweep an empty dataset");
-    assert_eq!(group.len(), data.len(), "one group per example");
-    assert!(tile_rows > 0, "tile_rows must be positive");
-    let builds_before = distance_builds();
-
     let n = data.len();
     let xs = MinMaxNormalizer::fit(&data.x).transform(&data.x);
-    record_streaming_build();
-
-    let tile = tile_rows.min(n);
-    let strips: Vec<(usize, usize)> = (0..n)
-        .step_by(tile)
-        .map(|lo| (lo, (lo + tile).min(n)))
-        .collect();
-    let r2s: Vec<f64> = cfg.radii.iter().map(|r| r * r).collect();
-    // The kernel strips are kernel bytes: together they hold every
-    // gamma's full n×n kernel and stay live until assembled below, so
-    // they are registered with the kernel accounting as one block —
-    // a deterministic upper bound on the gradual per-worker growth.
-    let _strip_acct = KernelAlloc::new((cfg.svm.gammas.len() * n * n * 8) as u64);
-    let per_strip: Vec<(Vec<Vec<f64>>, Vec<u64>)> =
-        par_map_threads(threads, &strips, |&(lo, hi)| {
-            let rows = hi - lo;
-            let _acct = DistAlloc::new((n * 8) as u64);
-            let mut d2row = vec![0.0f64; n];
-            let mut kstrips: Vec<Vec<f64>> = cfg
-                .svm
-                .gammas
-                .iter()
-                .map(|_| vec![0.0f64; rows * n])
-                .collect();
-            let mut correct = vec![0u64; cfg.radii.len()];
-            for (r, i) in (lo..hi).enumerate() {
-                for (j, d2) in d2row.iter_mut().enumerate() {
-                    *d2 = dist2(&xs[i], &xs[j]);
-                }
-                for (gi, &g) in cfg.svm.gammas.iter().enumerate() {
-                    let krow = &mut kstrips[gi][r * n..(r + 1) * n];
-                    for (kv, &d2) in krow.iter_mut().zip(&d2row) {
-                        *kv = (-g * d2).exp() + 1.0;
-                    }
-                }
-                for (ri, &r2) in r2s.iter().enumerate() {
-                    if nn_predict_row(&d2row, i, data, group, r2) == data.y[i] {
-                        correct[ri] += 1;
-                    }
-                }
-            }
-            (kstrips, correct)
-        });
-
-    // Assemble each gamma's kernel from its strips (strip order is row
-    // order) and fold the per-strip NN tallies.
-    let kernels: Vec<KernelCache> = (0..cfg.svm.gammas.len())
-        .map(|gi| {
-            let mut k = Vec::with_capacity(n * n);
-            for (kstrips, _) in &per_strip {
-                k.extend_from_slice(&kstrips[gi]);
-            }
-            KernelCache::from_parts(n, k)
-        })
-        .collect();
-    let mut nn_correct = vec![0u64; cfg.radii.len()];
-    for (_, correct) in &per_strip {
-        for (t, &c) in nn_correct.iter_mut().zip(correct) {
-            *t += c;
-        }
-    }
+    let (kernels, nn_correct) = stream_rows(&xs, data, group, cfg, threads);
     let nn_cells: Vec<RadiusCell> = cfg
         .radii
         .iter()
@@ -462,6 +338,91 @@ pub fn sweep_tiled_threads(
         .collect();
 
     finish_report(data, group, cfg, threads, &kernels, nn_cells, builds_before)
+}
+
+/// The sweep's one distance pass. The rows split into one contiguous
+/// block per worker, and each worker holds one n-length distance row at
+/// a time: row `i` feeds the NN radius tallies, then is exponentiated
+/// into row `i` of every gamma's kernel — the same `exp(-γ·d²) + 1`
+/// entries [`KernelCache::from_distances`] produces — written in place,
+/// then is overwritten. Returns one kernel per gamma and one correct
+/// count per radius. Counts toward [`distance_builds`] as one build
+/// (every pair is touched exactly once).
+///
+/// Bit-identical at any `threads`: every row is a pure function of `xs`
+/// and the tallies are integers. `dist2` is bitwise symmetric, so the
+/// rows also equal those of a mirrored
+/// [`DistanceMatrix`](crate::DistanceMatrix).
+fn stream_rows(
+    xs: &[Vec<f64>],
+    data: &Dataset,
+    group: &[usize],
+    cfg: &SweepConfig,
+    threads: usize,
+) -> (Vec<KernelCache>, Vec<u64>) {
+    record_streaming_build();
+    let n = xs.len();
+    let r2s: Vec<f64> = cfg.radii.iter().map(|r| r * r).collect();
+    let mut kernels: Vec<KernelCache> = cfg
+        .svm
+        .gammas
+        .iter()
+        .map(|_| KernelCache::zeroed(n))
+        .collect();
+
+    // Each block's rows of every gamma's kernel. `par_map_threads` hands
+    // a job only `&T`, so the rows sit behind a Mutex that the one worker
+    // claiming the block locks; blocks are disjoint, so no lock is ever
+    // contended.
+    let workers = threads.clamp(1, n);
+    let mut blocks: Vec<_> = (0..workers)
+        .map(|w| {
+            (
+                (w * n / workers, (w + 1) * n / workers),
+                Mutex::new(Vec::new()),
+            )
+        })
+        .collect();
+    for kc in &mut kernels {
+        let mut rest = kc.entries_mut();
+        for ((lo, hi), rows) in &mut blocks {
+            let (block, tail) = rest.split_at_mut((*hi - *lo) * n);
+            rows.get_mut().expect("not yet shared").push(block);
+            rest = tail;
+        }
+    }
+    let per_block: Vec<Vec<u64>> = par_map_threads(threads, &blocks, |((lo, hi), rows)| {
+        let mut rows = rows
+            .lock()
+            .expect("no worker panicked holding a kernel block");
+        let _acct = DistAlloc::new((n * 8) as u64);
+        let mut d2row = vec![0.0f64; n];
+        let mut correct = vec![0u64; r2s.len()];
+        for (r, i) in (*lo..*hi).enumerate() {
+            for (d2, xj) in d2row.iter_mut().zip(xs) {
+                *d2 = dist2(&xs[i], xj);
+            }
+            for (c, &r2) in correct.iter_mut().zip(&r2s) {
+                if nn_predict_row(&d2row, i, data, group, r2) == data.y[i] {
+                    *c += 1;
+                }
+            }
+            for (krows, &g) in rows.iter_mut().zip(&cfg.svm.gammas) {
+                for (kv, &d2) in krows[r * n..(r + 1) * n].iter_mut().zip(&d2row) {
+                    *kv = (-g * d2).exp() + 1.0;
+                }
+            }
+        }
+        correct
+    });
+
+    let mut nn_correct = vec![0u64; r2s.len()];
+    for correct in per_block {
+        for (t, c) in nn_correct.iter_mut().zip(correct) {
+            *t += c;
+        }
+    }
+    (kernels, nn_correct)
 }
 
 /// Predicted label for example `i` given row `i` of the pairwise d²
@@ -497,9 +458,9 @@ fn nn_predict_row(d2row: &[f64], i: usize, data: &Dataset, group: &[usize], r2: 
     }
 }
 
-/// Shared tail of both sweep strategies: scores the SVM grid by LOGO
-/// over the per-gamma kernels, picks the winners, and assembles the
-/// report.
+/// Scores the SVM grid by LOGO over the per-gamma kernels and the
+/// distance-free families by refitting per fold, picks the winners, and
+/// assembles the report.
 fn finish_report(
     data: &Dataset,
     group: &[usize],
@@ -606,10 +567,10 @@ fn finish_report(
     };
 
     // Distance-free families: every cell refits per LOGO fold directly on
-    // the feature vectors, never touching the distance matrix or the
-    // builds counter. Cells run in configuration order; the folds inside
-    // each fan out across the workers with integer tallies, so any
-    // thread count scores a cell identically.
+    // the feature vectors, never touching the distances or the builds
+    // counter. Cells run in configuration order; the folds inside each
+    // fan out across the workers with integer tallies, so any thread
+    // count scores a cell identically.
     let mut tree_cells = Vec::with_capacity(cfg.tree.max_depths.len() * cfg.tree.min_leafs.len());
     for &max_depth in &cfg.tree.max_depths {
         for &min_leaf in &cfg.tree.min_leafs {
@@ -743,7 +704,7 @@ fn argmax_accuracy(accuracies: impl Iterator<Item = f64>) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::svm::KernelCache;
+    use crate::distcache::DistanceMatrix;
 
     /// Three well-separated clusters, each split across two "benchmarks"
     /// so LOGO folds still see every class.
@@ -822,72 +783,34 @@ mod tests {
     }
 
     #[test]
-    fn dense_sweep_is_bit_identical_across_thread_counts() {
+    fn streamed_rows_match_the_dense_reference() {
+        // The streamed pass must write every gamma's kernel bit-for-bit
+        // as a from-scratch KernelCache, and tally each radius exactly as
+        // rows of a materialized DistanceMatrix would — at worker counts
+        // that split the 24 rows evenly and raggedly.
         let (data, group) = clusters();
         let cfg = SweepConfig::default();
-        let serial = sweep_threads(&data, &group, &cfg, 1);
-        for threads in [2, 4] {
-            assert_eq!(
-                serial,
-                sweep_threads(&data, &group, &cfg, threads),
-                "diverged at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn distance_free_families_never_advance_the_build_counter() {
-        // Only tree/forest/MLP grids: the sweep still performs its one
-        // distance pass (shared infrastructure), and the family scoring
-        // adds zero further builds.
-        let (data, group) = clusters();
-        let cfg = SweepConfig {
-            svm: SvmGrid {
-                gammas: vec![],
-                cs: vec![],
-                ..SvmGrid::default()
-            },
-            radii: vec![],
-            ..SweepConfig::default()
-        };
-        let r = sweep_threads(&data, &group, &cfg, 1);
-        assert_eq!(r.distance_builds, 1);
-        assert!(r.svm_cells.is_empty() && r.nn_cells.is_empty());
-        assert!(!r.tree_cells.is_empty());
-        // With NN and SVM unscored, the winner comes from the new
-        // families — separable clusters score well for all of them.
-        assert!(["tree", "forest", "mlp"].contains(&r.winner_family.as_str()));
-        assert!(r.winner_accuracy >= 0.9, "{}", r.winner_accuracy);
-    }
-
-    #[test]
-    fn per_cell_kernels_match_direct_compute() {
-        // The sweep derives every gamma's kernel from the one cached
-        // distance matrix; each must equal a from-scratch KernelCache
-        // bit-for-bit.
-        let (data, _) = clusters();
         let xs = MinMaxNormalizer::fit(&data.x).transform(&data.x);
         let dm = DistanceMatrix::compute(&xs);
-        for gamma in SvmGrid::default().gammas {
-            let direct = KernelCache::compute(&xs, gamma);
-            let derived = KernelCache::from_distances(&dm, gamma);
-            assert_eq!(direct.entries(), derived.entries(), "gamma={gamma}");
-        }
-    }
-
-    #[test]
-    fn tiled_sweep_is_bit_identical_to_dense() {
-        // The streaming sweep must reproduce the dense report exactly —
-        // cells, winners, and the one-build invariant — at every tile
-        // size and thread count.
-        let (data, group) = clusters();
-        let cfg = SweepConfig::default();
-        let dense = sweep_threads(&data, &group, &cfg, 1);
-        assert_eq!(dense.distance_builds, 1);
-        for tile in [1usize, 7, 64] {
-            for threads in [1usize, 4] {
-                let tiled = sweep_tiled_threads(&data, &group, &cfg, tile, threads);
-                assert_eq!(dense, tiled, "tile={tile} threads={threads}");
+        let want_nn: Vec<u64> = cfg
+            .radii
+            .iter()
+            .map(|r| {
+                (0..data.len())
+                    .filter(|&i| nn_predict_row(dm.row(i), i, &data, &group, r * r) == data.y[i])
+                    .count() as u64
+            })
+            .collect();
+        for threads in [1, 2, 5] {
+            let (kernels, nn_correct) = stream_rows(&xs, &data, &group, &cfg, threads);
+            assert_eq!(nn_correct, want_nn, "threads={threads}");
+            for (kc, &gamma) in kernels.iter().zip(&cfg.svm.gammas) {
+                let direct = KernelCache::compute(&xs, gamma);
+                assert_eq!(
+                    kc.entries(),
+                    direct.entries(),
+                    "gamma={gamma} threads={threads}"
+                );
             }
         }
     }

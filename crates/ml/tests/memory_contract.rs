@@ -1,0 +1,92 @@
+//! The memory contract of the pairwise-distance and kernel paths.
+//!
+//! Lives in its own integration-test binary with a single test on
+//! purpose: the `LOOPML_TILE_BYTES` budget and the peak-byte counters
+//! are process-global, so no other test may run beside it.
+
+use loopml_ml::{
+    greedy_forward_nn_threads, peak_distance_bytes, peak_kernel_bytes, reset_distance_bytes,
+    reset_kernel_bytes, sweep_threads, Dataset, ForestGrid, MlpGrid, SvmGrid, SvmParams,
+    SweepConfig, TreeGrid,
+};
+use loopml_rt::Rng;
+
+/// `n` examples over 6 features in 3 classes, spread over 6 groups.
+fn dataset(n: usize) -> (Dataset, Vec<usize>) {
+    let mut rng = Rng::seed_from_u64(0x3E3);
+    let x: Vec<Vec<f64>> = (0..n)
+        .map(|_| (0..6).map(|_| rng.gen_range(-10.0..10.0)).collect())
+        .collect();
+    let y: Vec<usize> = (0..n).map(|_| rng.gen_range(0..3usize)).collect();
+    let data = Dataset::new(
+        x,
+        y,
+        3,
+        (0..6).map(|j| format!("f{j}")).collect(),
+        (0..n).map(|i| format!("e{i}")).collect(),
+    );
+    (data, (0..n).map(|i| i % 6).collect())
+}
+
+#[test]
+fn distances_stay_in_budget_and_kernels_at_one_per_gamma() {
+    let n = 300;
+    let threads = 2;
+    let (data, group) = dataset(n);
+    let dense = (n * n * 8) as u64;
+    let budget = dense / 4;
+    std::env::set_var("LOOPML_TILE_BYTES", budget.to_string());
+
+    // Greedy selection past the budget streams row strips that fit it.
+    reset_distance_bytes();
+    greedy_forward_nn_threads(&data, 3, threads);
+    let greedy_peak = peak_distance_bytes();
+    assert!(greedy_peak > 0, "greedy registered no distance buffer");
+    assert!(
+        greedy_peak <= budget,
+        "greedy peak {greedy_peak} exceeds the budget {budget}"
+    );
+
+    // The sweep holds one distance row per worker at any budget, and
+    // exactly one n×n kernel per gamma.
+    let cfg = SweepConfig {
+        svm: SvmGrid {
+            gammas: vec![0.5, 2.0],
+            cs: vec![1.0],
+            base: SvmParams {
+                max_sweeps: 5,
+                ..SvmParams::default()
+            },
+        },
+        radii: vec![0.3],
+        tree: TreeGrid {
+            max_depths: vec![],
+            min_leafs: vec![],
+        },
+        forest: ForestGrid {
+            sizes: vec![],
+            ..ForestGrid::default()
+        },
+        mlp: MlpGrid {
+            hiddens: vec![],
+            lrs: vec![],
+            ..MlpGrid::default()
+        },
+    };
+    reset_distance_bytes();
+    reset_kernel_bytes();
+    let report = sweep_threads(&data, &group, &cfg, threads);
+    assert_eq!(report.svm_cells.len(), 2);
+    let distance_peak = peak_distance_bytes();
+    let row_bound = (threads * n * 8) as u64;
+    assert!(
+        distance_peak <= row_bound,
+        "sweep distance peak {distance_peak} exceeds workers·n·8 = {row_bound}"
+    );
+    let kernel_peak = peak_kernel_bytes();
+    assert!(
+        kernel_peak <= 2 * dense,
+        "sweep kernel peak {kernel_peak} exceeds G × dense = {}",
+        2 * dense
+    );
+}

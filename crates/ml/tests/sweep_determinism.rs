@@ -49,7 +49,8 @@ fn sweep_is_bit_identical_across_thread_counts() {
     let (data, group) = corpus();
     let cfg = SweepConfig::default();
     let serial = sweep_threads(&data, &group, &cfg, 1);
-    for threads in [2, 4, 8] {
+    // 5 workers split the 48 rows into ragged blocks.
+    for threads in [2, 4, 5, 8] {
         let par = sweep_threads(&data, &group, &cfg, threads);
         // PartialEq over every cell accuracy, selected params and
         // counters: bit-identical, not approximately equal.
@@ -96,4 +97,32 @@ fn counter_is_monotonic_across_sweeps() {
     let b = sweep_threads(&data, &group, &cfg, 2);
     assert_eq!(distance_builds() - before, 2, "one build per sweep");
     assert_eq!(a, b, "same inputs, same report");
+}
+
+#[test]
+fn distance_free_families_never_advance_the_build_counter() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    // Only tree/forest/MLP grids: the sweep still performs its one
+    // distance pass (shared infrastructure), and the family scoring adds
+    // zero further builds.
+    let (data, group) = corpus();
+    let cfg = SweepConfig {
+        svm: SvmGrid {
+            gammas: vec![],
+            cs: vec![],
+            ..SvmGrid::default()
+        },
+        radii: vec![],
+        ..SweepConfig::default()
+    };
+    let before = distance_builds();
+    let r = sweep_threads(&data, &group, &cfg, 1);
+    assert_eq!(distance_builds() - before, 1);
+    assert_eq!(r.distance_builds, 1);
+    assert!(r.svm_cells.is_empty() && r.nn_cells.is_empty());
+    assert!(!r.tree_cells.is_empty());
+    // With NN and SVM unscored, the winner comes from the new families —
+    // the separable corpus scores well for all of them.
+    assert!(["tree", "forest", "mlp"].contains(&r.winner_family.as_str()));
+    assert!(r.winner_accuracy >= 0.9, "{}", r.winner_accuracy);
 }

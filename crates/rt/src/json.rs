@@ -1,9 +1,9 @@
 //! A minimal JSON reader/writer, zero dependencies.
 //!
 //! The repository emits machine-readable reports (`loopml-lint`'s
-//! diagnostics, the `repro perf` bench trajectory) and — with this module
-//! — can also read them back, e.g. to compare a fresh `BENCH_ml.json`
-//! against a checked-in baseline in CI. The parser accepts standard JSON
+//! diagnostics, the `repro sweep` report, model artifacts) and — with
+//! this module — can also read them back, e.g. to validate a fresh
+//! `SWEEP_ml.json` in CI. The parser accepts standard JSON
 //! (objects, arrays, strings with the common escapes, numbers, booleans,
 //! null); it does not preserve key order duplicates or parse `\u` escapes
 //! beyond the basic multilingual plane.

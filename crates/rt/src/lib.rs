@@ -1,8 +1,8 @@
 //! # loopml-rt — zero-dependency deterministic runtime
 //!
 //! The rest of the workspace must build offline from a cold cargo cache,
-//! so everything that used to come from `rand`, `proptest`, and
-//! `criterion` lives here instead, implemented on `std` alone:
+//! so everything that used to come from `rand` and `proptest` lives
+//! here instead, implemented on `std` alone:
 //!
 //! * [`Rng`] — a seedable xoshiro256++ PRNG (SplitMix64 seeding) with the
 //!   `gen_range`/`gen_bool` surface the corpus, noise model, and labeler
@@ -19,13 +19,10 @@
 //! * [`check`] — a minimal property-test harness with seeded case
 //!   generation and failure-seed reporting (replay a single failing case
 //!   with `LOOPML_CHECK_SEED=<seed>`).
-//! * [`bench`] — a tiny wall-clock benchmark harness for
-//!   `harness = false` bench targets.
 //! * [`json`] — a minimal JSON value parser/printer so machine-readable
-//!   reports (`BENCH_ml.json`, lint output) can be validated and compared
+//!   reports (`SWEEP_ml.json`, lint output) can be validated and compared
 //!   without serde.
 
-pub mod bench;
 pub mod check;
 pub mod fault;
 pub mod json;

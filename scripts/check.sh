@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# Repository gate: release build, full test suite, clippy, formatting,
+# Repository gate: release build, full test suite, the benchmark's own
+# self-tests (perfbench/ is a workspace of its own, so the workspace
+# build never compiles it), clippy, formatting,
 # the corpus lint (loopml-lint must report zero deny diagnostics over
 # the built-in corpus at every unroll factor), the prover gate (the
-# legality-prover corpus scan must show zero prover/oracle
-# disagreements, zero denies, and >= 70% affine-corpus coverage), the
-# perf gate (the
-# smoke-scale `repro perf` must emit a well-formed BENCH_ml.json with no
-# stage more than 2x slower than scripts/bench_baseline.json), the sweep
+# legality-prover scan of the 72-benchmark quick corpus must show zero
+# prover/oracle disagreements, zero denies, and >= 70% affine-corpus
+# coverage), the sweep
 # gate (the smoke-scale `repro sweep` must select hyperparameters with
-# exactly one pairwise distance-matrix build, score at least two model
+# exactly one pairwise distance pass, score at least two model
 # families, and crown a cross-family winner), the serve gate (a
 # smoke-trained artifact served through the `loopml-serve` daemon must
 # answer replayed batches byte-identically to the in-process heuristic,
@@ -33,17 +33,15 @@ cd "$(dirname "$0")/.."
 
 cargo build --workspace --release
 cargo test --workspace -q
+cargo test --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 cargo run --release -p loopml-lint
-cargo run --release -p loopml-bench --bin repro -- lint --smoke --stats
-cargo run --release -p loopml-bench --bin repro -- perf --smoke
-cargo run --release -p loopml-bench --bin repro -- perf-check \
-    BENCH_ml.json scripts/bench_baseline.json
+cargo run --release -p loopml-bench --bin repro -- lint --quick --stats
 cargo run --release -p loopml-bench --bin repro -- sweep --smoke
 
 # Family-sweep gate: the cross-family sweep must have scored at least
-# two model families over its single distance build and crowned a
+# two model families over its single distance pass and crowned a
 # winner from the fixed vocabulary. `repro sweep` already exits nonzero
 # on either violation; these greps keep the report's wire format honest.
 echo "check.sh: family-sweep gate (multi-family scoring / winner)"

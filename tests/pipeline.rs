@@ -8,7 +8,9 @@ use loopml::{
 };
 use loopml_corpus::{full_suite, synthesize, SuiteConfig, ROSTER};
 use loopml_machine::{NoiseModel, SwpMode};
-use loopml_ml::{loocv_nn, NearNeighbors, DEFAULT_RADIUS};
+use loopml_ml::{
+    greedy_forward, greedy_forward_nn, loocv_nn, nn1_training_error, NearNeighbors, DEFAULT_RADIUS,
+};
 
 fn small_suite_cfg() -> SuiteConfig {
     SuiteConfig {
@@ -210,4 +212,27 @@ fn swp_labels_differ_from_non_swp_labels() {
         differing > 0,
         "pipelining should change at least one optimal factor ({common} shared)"
     );
+}
+
+#[test]
+fn cached_greedy_matches_the_direct_oracle_on_labeled_loops() {
+    // Real loop features are small integers, so distances tie exactly
+    // far more often than on random floats: the incremental cache must
+    // still pick the same feature with the same error at every one of
+    // the 38 steps as the recompute-from-scratch oracle.
+    let quick = SuiteConfig {
+        min_loops: 8,
+        max_loops: 12,
+        ..SuiteConfig::default()
+    };
+    let suite: Vec<_> = ROSTER
+        .iter()
+        .take(16)
+        .map(|e| synthesize(e, &quick))
+        .collect();
+    let data = to_dataset(&label_suite(&suite, &LabelConfig::paper(SwpMode::Disabled)));
+    let d = data.dims();
+    let cached = greedy_forward_nn(&data, d);
+    assert_eq!(cached.len(), d);
+    assert_eq!(cached, greedy_forward(&data, d, nn1_training_error));
 }
