@@ -11,7 +11,7 @@
 //! repro label-diff <clean> <chaos>   chaos run may cost coverage, not accuracy
 //! repro train [--model KIND]         emit the versioned model artifact
 //!                                    (nn, svm, orc, tree, forest, mlp)
-//! repro serve-bench [--artifact F]   replay batches, verify, report p50/p95/p99
+//! repro serve-bench [--artifact F]   replay batches, verify, dump the traffic
 //! repro serve-stats-check <F>        validate a loopml/serve-stats/v1 drain doc
 //! repro help                         generated overview
 //! ```
@@ -29,9 +29,7 @@ use std::time::Instant;
 
 use loopml::FEATURE_NAMES;
 use loopml_bench::cli::{self, FlagSpec, Parsed, Spec, EXIT_FAIL, EXIT_OK, EXIT_USAGE};
-use loopml_bench::{
-    experiments, labelrun, lintrun, report, serverun, supervise, sweeprun, Context, Scale,
-};
+use loopml_bench::{experiments, labelrun, lintrun, report, serverun, supervise, sweeprun, Scale};
 use loopml_machine::SwpMode;
 use loopml_rt::Json;
 
@@ -217,7 +215,7 @@ const TRAIN_SPEC: Spec = Spec {
 
 const SERVE_BENCH_SPEC: Spec = Spec {
     name: "serve-bench",
-    summary: "replay batches through the serving loop, verify bit-identity, report latency",
+    summary: "replay batches through the serving loop, verify bit-identity, dump the traffic",
     positionals: "",
     flags: &[
         FlagSpec {
@@ -632,11 +630,11 @@ fn render_reports(targets: &[&str], scale: Scale, corpus_scale: usize) {
     let t0 = Instant::now();
     let ctx_off = needs_swp_off.then(|| {
         eprintln!("[repro] building SWP-off context ({scale:?})...");
-        Context::build_scaled(scale, SwpMode::Disabled, corpus_scale)
+        scale.builder(corpus_scale).build()
     });
     let ctx_on = needs_swp_on.then(|| {
         eprintln!("[repro] building SWP-on context ({scale:?})...");
-        Context::build_scaled(scale, SwpMode::Enabled, corpus_scale)
+        scale.builder(corpus_scale).swp(SwpMode::Enabled).build()
     });
     if let Some(c) = &ctx_off {
         eprintln!(

@@ -18,7 +18,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::context::Scale;
+use loopml::PipelineBuilder;
+use loopml_corpus::SuiteConfig;
 
 /// Process exit code: the subcommand succeeded.
 pub const EXIT_OK: i32 = 0;
@@ -26,6 +27,42 @@ pub const EXIT_OK: i32 = 0;
 pub const EXIT_FAIL: i32 = 1;
 /// Process exit code: the invocation itself was malformed.
 pub const EXIT_USAGE: i32 = 2;
+
+/// Corpus scale of a run, selected by `--quick`/`--smoke`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// Full corpus (72 benchmarks, paper scale). Minutes.
+    Full,
+    /// Reduced corpus for smoke runs and CI. Seconds.
+    Quick,
+}
+
+impl Scale {
+    /// The corpus synthesis configuration at this scale, with the
+    /// `--corpus-scale` multiplier applied. Scale 1 is the historical
+    /// corpus bit-for-bit.
+    pub(crate) fn suite_config_at(self, corpus_scale: usize) -> SuiteConfig {
+        let base = match self {
+            Scale::Full => SuiteConfig::default(),
+            Scale::Quick => SuiteConfig {
+                min_loops: 8,
+                max_loops: 12,
+                ..SuiteConfig::default()
+            },
+        };
+        SuiteConfig {
+            corpus_scale,
+            ..base
+        }
+    }
+
+    /// The paper's pipeline over this scale's corpus: the reports,
+    /// `repro sweep`, `repro train` and `repro serve-bench` all build
+    /// from here.
+    pub fn builder(self, corpus_scale: usize) -> PipelineBuilder {
+        PipelineBuilder::paper().suite_config(self.suite_config_at(corpus_scale))
+    }
+}
 
 /// One flag a subcommand accepts beyond the shared set.
 #[derive(Debug, Clone, Copy)]

@@ -1,8 +1,8 @@
 //! The experiment implementations, one per table/figure of the paper.
 
 use loopml::{
-    improvement, measure_benchmark, measure_oracle, EvalConfig, LearnedHeuristic, OrcHeuristic,
-    OrcSwpHeuristic, UnrollHeuristic, FEATURE_NAMES,
+    improvement, measure_benchmark, measure_oracle, EvalConfig, OrcHeuristic, OrcSwpHeuristic,
+    Pipeline, UnrollHeuristic, FEATURE_NAMES,
 };
 use loopml_machine::SwpMode;
 use loopml_ml::{
@@ -10,13 +10,6 @@ use loopml_ml::{
     GreedyStep, Lda2d, MulticlassSvm, NearNeighbors, ScoredFeature, SvmParams, DEFAULT_RADIUS,
 };
 use loopml_rt::par_map_result;
-
-use crate::context::Context;
-
-/// Default SVM hyperparameters for the unroll problem.
-pub fn svm_params() -> SvmParams {
-    SvmParams::default()
-}
 
 // ---------------------------------------------------------------------
 // Table 2 — prediction-rank distribution and mispredict cost
@@ -55,7 +48,7 @@ pub struct Table2 {
     pub cost: [f64; 8],
 }
 
-fn rank_distribution(ctx: &Context, predictions: &[u32], name: &str) -> RankColumn {
+fn rank_distribution(ctx: &Pipeline, predictions: &[u32], name: &str) -> RankColumn {
     let mut dist = [0.0f64; 8];
     for (l, &p) in ctx.labeled.iter().zip(predictions) {
         dist[l.rank_of(p)] += 1.0;
@@ -70,10 +63,10 @@ fn rank_distribution(ctx: &Context, predictions: &[u32], name: &str) -> RankColu
 }
 
 /// Runs the Table 2 experiment.
-pub fn table2(ctx: &Context) -> Table2 {
+pub fn table2(ctx: &Pipeline) -> Table2 {
     // NN and SVM: leave-one-out over the informative-feature dataset.
     let nn_cv = loocv_nn(&ctx.dataset, DEFAULT_RADIUS);
-    let svm_cv = loocv_svm(&ctx.dataset, svm_params());
+    let svm_cv = loocv_svm(&ctx.dataset, SvmParams::default());
     let nn_pred: Vec<u32> = nn_cv.predictions.iter().map(|&c| c as u32 + 1).collect();
     let svm_pred: Vec<u32> = svm_cv.predictions.iter().map(|&c| c as u32 + 1).collect();
 
@@ -131,7 +124,7 @@ pub fn table2(ctx: &Context) -> Table2 {
 // ---------------------------------------------------------------------
 
 /// Figure 3: fraction of loops whose optimal factor is each of 1..=8.
-pub fn fig3(ctx: &Context) -> [f64; 8] {
+pub fn fig3(ctx: &Pipeline) -> [f64; 8] {
     let mut hist = [0.0f64; 8];
     for l in &ctx.labeled {
         hist[l.label] += 1.0;
@@ -159,7 +152,7 @@ pub struct ProjectedPoint {
 
 /// Figure 1: loops with factors {1,2,4,8} whose optimum beats the other
 /// three factors by ≥30%, projected onto the LDA plane.
-pub fn fig1(ctx: &Context) -> Vec<ProjectedPoint> {
+pub fn fig1(ctx: &Pipeline) -> Vec<ProjectedPoint> {
     let keep_factors = [1u32, 2, 4, 8];
     let mut rows = Vec::new();
     let mut labels = Vec::new();
@@ -209,7 +202,7 @@ pub fn fig1(ctx: &Context) -> Vec<ProjectedPoint> {
 /// Figure 2: binary (unroll vs. don't) projection with the SVM's decision
 /// on a grid over the plane. Returns the points and a decision grid
 /// sampled at `grid x grid` positions (true = unroll).
-pub fn fig2(ctx: &Context, grid: usize) -> (Vec<ProjectedPoint>, Vec<Vec<bool>>) {
+pub fn fig2(ctx: &Pipeline, grid: usize) -> (Vec<ProjectedPoint>, Vec<Vec<bool>>) {
     // Binary problem: factor 1 vs factor > 1, with a 30% margin.
     let mut rows = Vec::new();
     let mut labels = Vec::new();
@@ -266,7 +259,7 @@ pub fn fig2(ctx: &Context, grid: usize) -> (Vec<ProjectedPoint>, Vec<Vec<bool>>)
         &d2,
         SvmParams {
             gamma: 4.0,
-            ..svm_params()
+            ..SvmParams::default()
         },
     );
     let (xmin, xmax) = min_max(points.iter().map(|p| p.x));
@@ -333,7 +326,7 @@ pub struct SpeedupFigure {
 /// identical to a serial run. A row whose measurement crashes (e.g. an
 /// injected `eval.bench` fault under `LOOPML_FAULTS`) is dropped from
 /// the figure with a stderr note instead of taking down the run.
-pub fn speedup_figure(ctx: &Context) -> SpeedupFigure {
+pub fn speedup_figure(ctx: &Pipeline) -> SpeedupFigure {
     let swp = ctx.label_config.swp;
     let ec = EvalConfig::paper(swp);
 
@@ -350,19 +343,11 @@ pub fn speedup_figure(ctx: &Context) -> SpeedupFigure {
 
     let results = par_map_result(&spec, |&(bi, b)| {
         // Exclude this benchmark's loops from training (paper protocol).
-        let drop: Vec<bool> = ctx.groups.iter().map(|&g| g == bi).collect();
-        let train = ctx.dataset.without_examples(&drop);
-        let nn_h = LearnedHeuristic::fit(
-            "NN",
-            Some(ctx.feature_subset.clone()),
-            Box::new(NearNeighbors::new(DEFAULT_RADIUS)),
-            &train,
-        );
-        let svm_h = LearnedHeuristic::fit(
+        let nn_h = ctx.heuristic_excluding("NN", Box::new(NearNeighbors::new(DEFAULT_RADIUS)), bi);
+        let svm_h = ctx.heuristic_excluding(
             "SVM",
-            Some(ctx.feature_subset.clone()),
-            Box::new(MulticlassSvm::new(svm_params())),
-            &train,
+            Box::new(MulticlassSvm::new(SvmParams::default())),
+            bi,
         );
         let orc: Box<dyn UnrollHeuristic> = match swp {
             SwpMode::Disabled => Box::new(OrcHeuristic),
@@ -423,13 +408,13 @@ pub fn speedup_figure(ctx: &Context) -> SpeedupFigure {
 // ---------------------------------------------------------------------
 
 /// Table 3: features ranked by mutual information score.
-pub fn table3(ctx: &Context) -> Vec<ScoredFeature> {
+pub fn table3(ctx: &Pipeline) -> Vec<ScoredFeature> {
     mutual_information(&ctx.full_dataset)
 }
 
 /// Table 4: greedy forward selection traces for the 1-NN and SVM
 /// criteria.
-pub fn table4(ctx: &Context, steps: usize) -> (Vec<GreedyStep>, Vec<GreedyStep>) {
+pub fn table4(ctx: &Pipeline, steps: usize) -> (Vec<GreedyStep>, Vec<GreedyStep>) {
     // Incremental distance cache: same trace as the direct
     // `nn1_training_error` criterion, O(n²) per candidate.
     let nn_trace = greedy_forward_nn(&ctx.full_dataset, steps);
@@ -440,7 +425,7 @@ pub fn table4(ctx: &Context, steps: usize) -> (Vec<GreedyStep>, Vec<GreedyStep>)
             d,
             SvmParams {
                 max_sweeps: 20,
-                ..svm_params()
+                ..SvmParams::default()
             },
         )
     });
@@ -479,7 +464,7 @@ pub struct Ablation {
 /// "the feature vector is normalized to weigh all features equally;
 /// otherwise, features with large values such as loop tripcount would
 /// grossly outweigh small-valued features").
-pub fn ablate_normalization(ctx: &Context) -> Vec<Ablation> {
+pub fn ablate_normalization(ctx: &Pipeline) -> Vec<Ablation> {
     use loopml_ml::NearNeighbors;
     let with = loocv_nn(&ctx.dataset, DEFAULT_RADIUS).accuracy;
     // Raw feature values: trip counts dominate the Euclidean distance.
@@ -503,7 +488,7 @@ pub fn ablate_normalization(ctx: &Context) -> Vec<Ablation> {
 }
 
 /// Ablation: radius-vote NN vs pure 1-NN.
-pub fn ablate_radius(ctx: &Context) -> Vec<Ablation> {
+pub fn ablate_radius(ctx: &Pipeline) -> Vec<Ablation> {
     let radius = loocv_nn(&ctx.dataset, DEFAULT_RADIUS).accuracy;
     let tiny = loocv_nn(&ctx.dataset, 1e-6).accuracy; // degenerates to 1-NN
     vec![
@@ -519,7 +504,7 @@ pub fn ablate_radius(ctx: &Context) -> Vec<Ablation> {
 }
 
 /// Ablation: informative feature subset vs all 38 features.
-pub fn ablate_features(ctx: &Context) -> Vec<Ablation> {
+pub fn ablate_features(ctx: &Pipeline) -> Vec<Ablation> {
     let subset = loocv_nn(&ctx.dataset, DEFAULT_RADIUS).accuracy;
     let all = loocv_nn(&ctx.full_dataset, DEFAULT_RADIUS).accuracy;
     vec![
@@ -535,7 +520,7 @@ pub fn ablate_features(ctx: &Context) -> Vec<Ablation> {
 }
 
 /// Ablation: label filtering (≥50k cycles, ≥1.05× benefit) on vs off.
-pub fn ablate_filter(ctx: &Context) -> Vec<Ablation> {
+pub fn ablate_filter(ctx: &Pipeline) -> Vec<Ablation> {
     use loopml::LabelConfig;
     let filtered = loocv_nn(&ctx.dataset, DEFAULT_RADIUS).accuracy;
     let lax_cfg = LabelConfig {
@@ -545,11 +530,11 @@ pub fn ablate_filter(ctx: &Context) -> Vec<Ablation> {
     };
     let lax_labeled = loopml::label_suite(&ctx.suite, &lax_cfg);
     let lax_full = loopml::to_dataset(&lax_labeled);
-    let lax = loocv_nn(
-        &lax_full.select_features(&ctx.feature_subset),
-        DEFAULT_RADIUS,
-    )
-    .accuracy;
+    let lax_data = match &ctx.feature_subset {
+        Some(cols) => lax_full.select_features(cols),
+        None => lax_full,
+    };
+    let lax = loocv_nn(&lax_data, DEFAULT_RADIUS).accuracy;
     vec![
         Ablation {
             variant: "NN, filtered labels (paper)".into(),

@@ -31,7 +31,7 @@ use loopml_lint::lint_quarantine;
 use loopml_machine::SwpMode;
 use loopml_rt::Json;
 
-use crate::context::Scale;
+use crate::cli::Scale;
 
 /// Schema tag of the `repro label` output file.
 pub const LABELS_SCHEMA: &str = "loopml/labels/v1";
@@ -72,50 +72,6 @@ impl Default for LabelArgs {
             corpus_scale: 1,
             shard: None,
         }
-    }
-}
-
-impl LabelArgs {
-    /// Parses `repro label` CLI arguments (everything after `label`).
-    pub fn parse(args: &[&str]) -> Result<LabelArgs, String> {
-        let mut out = LabelArgs::default();
-        let mut it = args.iter();
-        while let Some(&a) = it.next() {
-            let mut value = |flag: &str| -> Result<String, String> {
-                it.next()
-                    .map(|s| s.to_string())
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match a {
-                "--quick" => out.scale = Scale::Quick,
-                "--smoke" => {
-                    out.scale = Scale::Quick;
-                    out.take = Some(8);
-                }
-                "--resume" => out.resume = true,
-                "--out" => out.out = PathBuf::from(value("--out")?),
-                "--degradation" => out.degradation = PathBuf::from(value("--degradation")?),
-                "--ckpt-dir" => out.ckpt_dir = Some(PathBuf::from(value("--ckpt-dir")?)),
-                "--retries" => {
-                    let v = value("--retries")?;
-                    out.retries = Some(v.parse().map_err(|_| format!("bad --retries {v}"))?);
-                }
-                "--corpus-scale" => {
-                    let v = value("--corpus-scale")?;
-                    let s: usize = v.parse().map_err(|_| format!("bad --corpus-scale {v}"))?;
-                    if s == 0 {
-                        return Err("--corpus-scale must be at least 1".into());
-                    }
-                    out.corpus_scale = s;
-                }
-                "--shard" => out.shard = Some(Shard::parse(&value("--shard")?)?),
-                other => return Err(format!("unknown label option: {other}")),
-            }
-        }
-        if out.resume && out.ckpt_dir.is_none() {
-            return Err("--resume requires --ckpt-dir".into());
-        }
-        Ok(out)
     }
 }
 
@@ -207,7 +163,7 @@ pub fn run_label(args: &LabelArgs) -> Result<usize, String> {
     if let Some(s) = args.shard {
         eprintln!("[label] shard {}/{}", s.index, s.count);
     }
-    let run = loopml::label_suite_resilient_sharded(&suite, &cfg, &res, args.shard);
+    let run = loopml::label_suite_resilient(&suite, &cfg, &res, args.shard);
 
     let write = |path: &PathBuf, doc: &Json| -> Result<(), String> {
         std::fs::write(path, format!("{doc}\n"))
@@ -289,8 +245,8 @@ pub fn run_label_diff(
     for (name, l) in &chaos_labels {
         let attempts = l
             .get("attempts")
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("{name}: missing attempts"))? as u32;
+            .and_then(Json::as_usize)
+            .ok_or_else(|| format!("{name}: attempts is not a whole number"))?;
         if attempts > 0 {
             // Retried loops were re-measured under fresh seeds; they only
             // need to exist. (DESIGN.md §9.)
@@ -398,14 +354,12 @@ pub fn run_label_merge(
         })?;
         let index = shard_block
             .get("index")
-            .and_then(Json::as_num)
-            .ok_or_else(|| MergeError::Spec(format!("{path}: bad shard.index")))?
-            as usize;
+            .and_then(Json::as_usize)
+            .ok_or_else(|| MergeError::Spec(format!("{path}: bad shard.index")))?;
         let count = shard_block
             .get("count")
-            .and_then(Json::as_num)
-            .ok_or_else(|| MergeError::Spec(format!("{path}: bad shard.count")))?
-            as usize;
+            .and_then(Json::as_usize)
+            .ok_or_else(|| MergeError::Spec(format!("{path}: bad shard.count")))?;
         if count == 0 || index >= count {
             return Err(MergeError::Spec(format!(
                 "{path}: bad shard spec {index}/{count}"
@@ -561,52 +515,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_label_args() {
-        let a = LabelArgs::parse(&[
-            "--smoke",
-            "--resume",
-            "--ckpt-dir",
-            "/tmp/ck",
-            "--retries",
-            "5",
-            "--out",
-            "x.json",
-        ])
-        .expect("valid");
-        assert_eq!(a.scale, Scale::Quick);
-        assert_eq!(a.take, Some(8));
-        assert!(a.resume);
-        assert_eq!(a.retries, Some(5));
-        assert_eq!(a.out, PathBuf::from("x.json"));
-        assert_eq!(a.ckpt_dir, Some(PathBuf::from("/tmp/ck")));
-
-        assert!(
-            LabelArgs::parse(&["--resume"]).is_err(),
-            "resume needs ckpt dir"
-        );
-        assert!(LabelArgs::parse(&["--bogus"]).is_err());
-        assert!(LabelArgs::parse(&["--retries", "x"]).is_err());
-    }
-
-    #[test]
-    fn parse_shard_and_corpus_scale() {
-        let a = LabelArgs::parse(&["--shard", "1/3", "--corpus-scale", "4"]).expect("valid");
-        assert_eq!(a.shard, Some(Shard { index: 1, count: 3 }));
-        assert_eq!(a.corpus_scale, 4);
-        assert_eq!(LabelArgs::parse(&[]).unwrap().shard, None);
-        assert_eq!(LabelArgs::parse(&[]).unwrap().corpus_scale, 1);
-        // Invalid shard specs are usage errors: i >= N, N == 0, garbage.
-        for bad in ["3/3", "0/0", "x/2", "2"] {
-            assert!(
-                LabelArgs::parse(&["--shard", bad]).is_err(),
-                "{bad:?} should be rejected"
-            );
-        }
-        assert!(LabelArgs::parse(&["--corpus-scale", "0"]).is_err());
-        assert!(LabelArgs::parse(&["--corpus-scale", "x"]).is_err());
-    }
-
-    #[test]
     fn merged_shards_are_byte_identical_to_single_process() {
         use loopml_corpus::SuiteConfig;
         let suite: Vec<_> = full_suite(&SuiteConfig {
@@ -619,7 +527,10 @@ mod tests {
         .collect();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
         let res = ResilienceConfig::default();
-        let single = labels_to_json(&loopml::label_suite_resilient(&suite, &cfg, &res), cfg.swp);
+        let single = labels_to_json(
+            &loopml::label_suite_resilient(&suite, &cfg, &res, None),
+            cfg.swp,
+        );
 
         let dir = std::env::temp_dir().join("loopml_label_merge_unit");
         let _ = std::fs::remove_dir_all(&dir);
@@ -628,7 +539,7 @@ mod tests {
         let paths: Vec<String> = (0..count)
             .map(|index| {
                 let shard = Shard { index, count };
-                let run = loopml::label_suite_resilient_sharded(&suite, &cfg, &res, Some(shard));
+                let run = loopml::label_suite_resilient(&suite, &cfg, &res, Some(shard));
                 let path = dir.join(format!("shard{index}.json"));
                 let doc = labels_to_json_sharded(&run, cfg.swp, Some(shard));
                 std::fs::write(&path, format!("{doc}\n")).unwrap();
@@ -681,15 +592,14 @@ mod tests {
         // report byte-for-byte.
         let deg_out = dir.join("merged_degradation.json");
         run_label_merge(&paths, &out, Some(&deg_out)).expect("merge succeeds");
-        let single_run = loopml::label_suite_resilient(&suite, &cfg, &res);
+        let single_run = loopml::label_suite_resilient(&suite, &cfg, &res, None);
         let want_deg = format!("{}\n", single_run.report.to_json());
         assert_eq!(std::fs::read_to_string(&deg_out).unwrap(), want_deg);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn labels_document_shape() {
-        let run = LabelRun {
+    fn empty_run() -> LabelRun {
+        LabelRun {
             labeled: vec![],
             attempts: vec![],
             report: loopml::DegradationReport {
@@ -701,7 +611,33 @@ mod tests {
                 fault_sites: Default::default(),
                 resumed: 0,
             },
-        };
+        }
+    }
+
+    #[test]
+    fn fractional_shard_index_is_a_spec_error() {
+        let dir = std::env::temp_dir().join(format!("loopml_merge_whole_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shard.json");
+        let paths = vec![path.to_string_lossy().into_owned()];
+        let out = dir.join("merged.json");
+        let shard = Shard { index: 0, count: 1 };
+        let doc = labels_to_json_sharded(&empty_run(), SwpMode::Disabled, Some(shard)).to_string();
+        std::fs::write(&path, &doc).unwrap();
+        assert_eq!(run_label_merge(&paths, &out, None), Ok(()));
+        // The shard block sits outside the payload fingerprint, so only
+        // the whole-number rule stands between 0.5 and shard 0.
+        std::fs::write(&path, doc.replace("\"index\":0", "\"index\":0.5")).unwrap();
+        assert!(matches!(
+            run_label_merge(&paths, &out, None),
+            Err(MergeError::Spec(_))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn labels_document_shape() {
+        let run = empty_run();
         let doc = labels_to_json(&run, SwpMode::Disabled);
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),

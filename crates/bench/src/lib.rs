@@ -34,7 +34,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cli;
-pub mod context;
 pub mod experiments;
 pub mod labelrun;
 pub mod lintrun;
@@ -43,4 +42,4 @@ pub mod serverun;
 pub mod supervise;
 pub mod sweeprun;
 
-pub use context::{Context, Scale};
+pub use cli::Scale;

@@ -11,17 +11,16 @@
 //! back through the fingerprint check (a stale artifact is a loud
 //! [`EXIT_FAIL`](crate::cli::EXIT_FAIL), never a silently wrong model),
 //! replays the whole suite through the in-process serving loop in
-//! batches, verifies every served factor against
-//! [`LearnedHeuristic::choose`], and reports batch-latency
-//! p50/p95/p99. `--dump-requests`/`--dump-responses` write the exact
-//! line-protocol traffic, which is how `scripts/check.sh` drives the
-//! `loopml-serve` binary with identical input and diffs its answers.
+//! batches, and verifies every served factor against
+//! [`LearnedHeuristic::choose`]. It does not time the replay: serving
+//! throughput and latency are measured by perfbench's `serve` workload.
+//! `--dump-requests`/`--dump-responses` write the exact line-protocol
+//! traffic, which is how `scripts/check.sh` drives the `loopml-serve`
+//! binary with identical input and diffs its answers.
 
 use std::path::PathBuf;
 
-use loopml::{
-    LearnedHeuristic, ModelArtifact, Pipeline, PipelineBuilder, PipelineConfig, UnrollHeuristic,
-};
+use loopml::{LearnedHeuristic, ModelArtifact, Pipeline, PipelineConfig, UnrollHeuristic};
 use loopml_ir::Loop;
 use loopml_ml::{
     BaggedForest, Classifier, DecisionTree, Mlp, MulticlassSvm, NearNeighbors, SweepConfig,
@@ -30,10 +29,10 @@ use loopml_rt::Json;
 use loopml_serve::{Request, Response, ServeModel, ServeOptions, ServeSession, SessionReply};
 
 use crate::cli::Parsed;
-use crate::context::Scale;
+use crate::cli::Scale;
 
 /// Schema tag of the `repro serve-bench` stdout report.
-pub const SERVE_BENCH_SCHEMA: &str = "loopml/serve-bench/v1";
+pub const SERVE_BENCH_SCHEMA: &str = "loopml/serve-bench/v2";
 
 /// Default artifact path shared by `train` and `serve-bench`.
 pub const DEFAULT_ARTIFACT: &str = "MODEL_ml.json";
@@ -47,7 +46,7 @@ pub const DEFAULT_BATCH: usize = 32;
 /// `--corpus-scale`) or the artifact fingerprint will (correctly)
 /// refuse to load.
 pub fn pipeline_for(scale: Scale, corpus_scale: usize, smoke: bool, tune: bool) -> Pipeline {
-    let mut b = PipelineBuilder::paper().suite_config(scale.suite_config_at(corpus_scale));
+    let mut b = scale.builder(corpus_scale);
     if smoke {
         b = b.take_benchmarks(8);
     }
@@ -189,29 +188,14 @@ impl ServeBenchArgs {
     }
 }
 
-/// Latency summary of one batched replay through the serving loop.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Replay {
-    /// Batches answered.
-    pub batches: usize,
-    /// Loops per batch (the last batch may be smaller).
-    pub batch_size: usize,
-    /// Total predictions served.
-    pub predictions: usize,
-    /// Median batch latency, milliseconds.
-    pub p50_ms: f64,
-    /// 95th-percentile batch latency, milliseconds.
-    pub p95_ms: f64,
-    /// 99th-percentile batch latency, milliseconds.
-    pub p99_ms: f64,
-}
-
-/// Everything a replay produced: the summary plus the exact wire
-/// traffic and the flattened served factors, for dumping and diffing.
+/// Everything a replay produced: its volume plus the exact wire traffic
+/// and the flattened served factors, for dumping and diffing.
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
-    /// Latency and volume summary.
-    pub summary: Replay,
+    /// Requests answered, resends included.
+    pub batches: usize,
+    /// Total predictions served.
+    pub predictions: usize,
     /// The line-protocol request stream that was replayed.
     pub requests: String,
     /// The line-protocol response stream the model answered.
@@ -220,20 +204,8 @@ pub struct ReplayOutcome {
     pub served: Vec<u32>,
 }
 
-/// Nearest-rank percentile of an unsorted latency sample; 0.0 when the
-/// sample is empty.
-pub fn percentile(latencies: &[f64], q: f64) -> f64 {
-    if latencies.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = latencies.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Replays `loops` through the in-process serving loop in batches of
-/// `batch_size` and summarizes per-batch latency. The serving session
+/// `batch_size` and records the exact wire traffic. The serving session
 /// is the exact state machine `loopml-serve` runs on its stdin, under
 /// the same environment configuration (`LOOPML_FAULTS`,
 /// `LOOPML_SERVE_*`) — so a chaos replay exercises the daemon's retry
@@ -310,14 +282,8 @@ pub fn replay_batches_with(
     }
     let stats = session.into_stats();
     Ok(ReplayOutcome {
-        summary: Replay {
-            batches: stats.batches,
-            batch_size,
-            predictions: stats.predictions,
-            p50_ms: percentile(&stats.latencies_ms, 50.0),
-            p95_ms: percentile(&stats.latencies_ms, 95.0),
-            p99_ms: percentile(&stats.latencies_ms, 99.0),
-        },
+        batches: stats.batches,
+        predictions: stats.predictions,
         requests,
         responses,
         served,
@@ -333,7 +299,7 @@ fn all_loops(p: &Pipeline) -> Vec<Loop> {
 
 /// Loads the artifact through the fingerprint check, replays the whole
 /// suite through the serving loop, verifies bit-identity against the
-/// in-process heuristic, and prints the latency report on stdout.
+/// in-process heuristic, and prints the replay report on stdout.
 pub fn run_serve_bench(args: &ServeBenchArgs) -> Result<(), String> {
     eprintln!(
         "[serve-bench] building pipeline ({:?}{})...",
@@ -376,23 +342,18 @@ pub fn run_serve_bench(args: &ServeBenchArgs) -> Result<(), String> {
             want.len()
         ));
     }
-    let s = &outcome.summary;
     let report = Json::obj([
         ("schema", Json::Str(SERVE_BENCH_SCHEMA.into())),
         ("model", Json::Str(model.artifact().kind().into())),
-        ("batches", Json::Num(s.batches as f64)),
-        ("batch_size", Json::Num(s.batch_size as f64)),
-        ("predictions", Json::Num(s.predictions as f64)),
-        ("p50_ms", Json::Num(s.p50_ms)),
-        ("p95_ms", Json::Num(s.p95_ms)),
-        ("p99_ms", Json::Num(s.p99_ms)),
+        ("batches", Json::Num(outcome.batches as f64)),
+        ("batch_size", Json::Num(args.batch as f64)),
+        ("predictions", Json::Num(outcome.predictions as f64)),
         ("matched", Json::Bool(true)),
     ]);
     println!("{report}");
     eprintln!(
-        "[serve-bench] {} predictions in {} batches, p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms, \
-         all bit-identical to the in-process heuristic",
-        s.predictions, s.batches, s.p50_ms, s.p95_ms, s.p99_ms
+        "[serve-bench] {} predictions in {} batches, all bit-identical to the in-process heuristic",
+        outcome.predictions, outcome.batches
     );
     Ok(())
 }
@@ -401,16 +362,6 @@ pub fn run_serve_bench(args: &ServeBenchArgs) -> Result<(), String> {
 mod tests {
     use super::*;
     use loopml_ml::DEFAULT_RADIUS;
-
-    #[test]
-    fn percentile_uses_nearest_rank() {
-        let sample = [4.0, 1.0, 3.0, 2.0];
-        assert_eq!(percentile(&sample, 50.0), 2.0);
-        assert_eq!(percentile(&sample, 95.0), 4.0);
-        assert_eq!(percentile(&sample, 99.0), 4.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(percentile(&[7.5], 99.0), 7.5);
-    }
 
     #[test]
     fn train_and_serve_bench_round_trip_on_disk() {
@@ -453,8 +404,8 @@ mod tests {
             let outcome = replay_batches(&model, &loops, 8).expect("replay");
             let want: Vec<u32> = loops.iter().map(|l| model.heuristic().choose(l)).collect();
             assert_eq!(outcome.served, want, "{name} diverged");
-            assert_eq!(outcome.summary.predictions, loops.len());
-            assert_eq!(outcome.summary.batches, loops.len().div_ceil(8));
+            assert_eq!(outcome.predictions, loops.len());
+            assert_eq!(outcome.batches, loops.len().div_ceil(8));
         }
     }
 

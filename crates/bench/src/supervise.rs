@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use crate::context::Scale;
+use crate::cli::Scale;
 use crate::labelrun;
 
 /// Default per-shard restart budget (crashes + stalls combined).

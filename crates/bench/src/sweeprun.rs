@@ -1,6 +1,6 @@
 //! `repro sweep` — LOGO-driven hyperparameter selection as a CLI target.
 //!
-//! Builds the standard experiment context, runs the
+//! Builds the paper's pipeline at the requested scale, runs the
 //! [`loopml_ml::sweep`] subsystem (SVM gamma × C grid plus NN radii,
 //! plus the distance-free tree / forest / MLP grids, every cell scored
 //! by leave-one-benchmark-out accuracy over exactly one streamed
@@ -14,11 +14,10 @@
 
 use std::time::Instant;
 
-use loopml_machine::SwpMode;
 use loopml_ml::{SweepConfig, SweepReport};
 use loopml_rt::json::{escape, Json};
 
-use crate::context::{Context, Scale};
+use crate::cli::Scale;
 
 /// Schema tag stamped into every sweep report.
 pub const SWEEP_SCHEMA: &str = "loopml/sweep/v1";
@@ -26,11 +25,11 @@ pub const SWEEP_SCHEMA: &str = "loopml/sweep/v1";
 /// A sweep run plus the run-level metadata the JSON document carries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRun {
-    /// Scale the context was built at.
+    /// Scale the corpus was built at.
     pub scale: Scale,
     /// Worker threads the runtime used (`LOOPML_THREADS` honored).
     pub threads: usize,
-    /// Wall-clock milliseconds for the sweep itself (context build
+    /// Wall-clock milliseconds for the sweep itself (pipeline build
     /// excluded — labeling time is perfbench's business).
     pub wall_ms: f64,
     /// The sweep result.
@@ -213,27 +212,23 @@ pub fn validate(doc: &Json) -> Result<u64, String> {
     }
 }
 
-/// Builds the context at `scale` and sweeps the default grid. The
-/// returned run carries everything `repro sweep` prints and checks.
-pub fn run_sweep(scale: Scale) -> SweepRun {
-    run_sweep_scaled(scale, 1)
-}
-
-/// [`run_sweep`] over a `--corpus-scale` multiplied corpus.
+/// Builds the pipeline at `scale` over a `--corpus-scale` multiplied
+/// corpus and sweeps the default grid. The returned run carries
+/// everything `repro sweep` prints and checks.
 pub fn run_sweep_scaled(scale: Scale, corpus_scale: usize) -> SweepRun {
     let cfg = SweepConfig::default();
-    eprintln!("[sweep] building context ({scale:?}, corpus x{corpus_scale})...");
-    let ctx = Context::build_scaled(scale, SwpMode::Disabled, corpus_scale);
+    eprintln!("[sweep] building pipeline ({scale:?}, corpus x{corpus_scale})...");
+    let p = scale.builder(corpus_scale).build();
     eprintln!(
         "[sweep] {} examples, {} benchmarks; grid {}x{} + {} radii...",
-        ctx.len(),
-        ctx.suite.len(),
+        p.len(),
+        p.suite.len(),
         cfg.svm.gammas.len(),
         cfg.svm.cs.len(),
         cfg.radii.len()
     );
     let t = Instant::now();
-    let report = loopml_ml::sweep(&ctx.dataset, &ctx.groups, &cfg);
+    let report = loopml_ml::sweep(&p.dataset, &p.groups, &cfg);
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
     eprintln!(
         "[sweep] selected gamma={} C={} (LOGO {:.3}); radius={} (LOGO {:.3}); \

@@ -124,6 +124,9 @@ fn supervise_usage_errors_exit_2_without_spawning() {
         &["label-supervise", "0"][..],
         &["label-supervise", "2", "--chaos-kill", "nope"][..],
         &["label-supervise", "2", "--max-restarts", "many"][..],
+        &["label", "--smoke", "--resume"][..],
+        &["label", "--smoke", "--retries", "x"][..],
+        &["label", "--smoke", "--shard", "3/3"][..],
     ] {
         let status = repro().args(args).status().expect("spawn repro");
         assert_eq!(status.code(), Some(2), "{args:?} must be a usage error");

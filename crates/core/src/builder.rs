@@ -34,32 +34,23 @@ use crate::evaluate::EvalConfig;
 use crate::fault::DegradationReport;
 use crate::heuristics::LearnedHeuristic;
 use crate::label::{
-    label_suite, label_suite_resilient, LabelConfig, LabeledLoop, ResilienceConfig,
+    fail_on_crash, label_suite_resilient, LabelConfig, LabelRun, LabeledLoop, ResilienceConfig,
 };
 use crate::pipeline::{benchmark_groups, informative_features, to_dataset};
 
 /// Typed run configuration for [`PipelineBuilder`], consumed once at
 /// [`build`](PipelineBuilder::build).
 ///
-/// One struct states the whole run policy in a single place. The default
-/// is the paper's plain run: no resilience wrapper (unless
-/// `LOOPML_FAULTS` forces it), no tuning, lint as the label config armed
-/// it.
+/// The default is the paper's run: no tuning and the paper's 38
+/// features.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineConfig {
-    /// Label through the fault-tolerant path with this policy. `None`
-    /// still auto-switches to resilient labeling when `LOOPML_FAULTS`
-    /// is active, so chaos runs never crash the builder.
-    pub resilience: Option<ResilienceConfig>,
     /// Run this LOGO sweep during `build` (see [`loopml_ml::sweep`]);
     /// [`Pipeline::svm_params`], [`Pipeline::nn_radius`],
     /// [`Pipeline::tree_params`], [`Pipeline::forest_params`] and
     /// [`Pipeline::mlp_params`] then return each swept family's winner.
     /// A family whose grid is empty is not swept and keeps its defaults.
     pub tune: Option<SweepConfig>,
-    /// Override the lint enforcement level (normally armed by the label
-    /// config, which reads `LOOPML_LINT`).
-    pub lint: Option<loopml_lint::LintLevel>,
     /// Append the legality prover's feature block (alias-class counts,
     /// min proven dependence distance, proof status) to every example,
     /// widening the dataset from 38 to 38 + [`NUM_PROVER_FEATURES`]
@@ -107,8 +98,8 @@ impl PipelineBuilder {
         }
     }
 
-    /// Sets the whole run policy in one place (resilience, tuning,
-    /// lint). Replaces any previously set configuration.
+    /// Sets the whole run policy in one place (tuning, prover
+    /// features). Replaces any previously set configuration.
     pub fn configure(mut self, config: PipelineConfig) -> Self {
         self.config = config;
         self
@@ -178,46 +169,43 @@ impl PipelineBuilder {
         self
     }
 
-    /// Synthesizes, labels, featurizes and selects.
+    /// Synthesizes, labels, featurizes and selects. Labeling runs through
+    /// [`label_suite_resilient`] under [`ResilienceConfig::default`], so
+    /// injected faults (`LOOPML_FAULTS`) and non-finite measurements are
+    /// retried and quarantined instead of crashing the build; the
+    /// accounting lands in [`Pipeline::degradation`].
     ///
     /// # Panics
     ///
-    /// Panics if labeling produces no training examples (a corpus or
-    /// filter misconfiguration).
+    /// Panics if a benchmark's labeling crashes without an injected
+    /// fault (a bug, or a transform-validation deny under
+    /// `LintLevel::Deny`), or if labeling produces no training examples
+    /// (a corpus or filter misconfiguration).
     pub fn build(self) -> Pipeline {
         let mut suite = self.suite.unwrap_or_else(|| full_suite(&self.suite_config));
         if let Some(n) = self.take {
             suite.truncate(n);
         }
-        let mut label_config = self
+        let label_config = self
             .label_config
             .unwrap_or_else(|| LabelConfig::paper(self.swp));
-        if let Some(level) = self.config.lint {
-            label_config.lint = level;
-        }
         let eval_config = self
             .eval_config
             .unwrap_or_else(|| EvalConfig::paper(self.swp));
-        let resilience = self.config.resilience.or_else(|| {
-            loopml_rt::FaultPlane::env_or_disabled()
-                .is_active()
-                .then(ResilienceConfig::default)
-        });
-        let (mut labeled, degradation) = match resilience {
-            Some(res) => {
-                let run = label_suite_resilient(&suite, &label_config, &res);
-                if label_config.lint.is_enabled() {
-                    let mut lint = loopml_lint::Report::with_env_suppressions();
-                    lint.merge(loopml_lint::lint_quarantine(
-                        run.report.labeled,
-                        run.report.quarantined.len(),
-                    ));
-                    lint.enforce(label_config.lint, "labeling run");
-                }
-                (run.labeled, Some(run.report))
-            }
-            None => (label_suite(&suite, &label_config), None),
-        };
+        let LabelRun {
+            mut labeled,
+            report: degradation,
+            ..
+        } = label_suite_resilient(&suite, &label_config, &ResilienceConfig::default(), None);
+        fail_on_crash(&degradation);
+        if label_config.lint.is_enabled() {
+            let mut lint = loopml_lint::Report::with_env_suppressions();
+            lint.merge(loopml_lint::lint_quarantine(
+                degradation.labeled,
+                degradation.quarantined.len(),
+            ));
+            lint.enforce(label_config.lint, "labeling run");
+        }
         assert!(
             !labeled.is_empty(),
             "labeling produced no training examples"
@@ -292,9 +280,8 @@ pub struct Pipeline {
     pub label_config: LabelConfig,
     /// The evaluation configuration for whole-benchmark measurements.
     pub eval_config: EvalConfig,
-    /// Degradation accounting when labeling ran through the
-    /// fault-tolerant path (`None` for the plain path).
-    pub degradation: Option<DegradationReport>,
+    /// What labeling retried and quarantined (empty on a clean run).
+    pub degradation: DegradationReport,
     /// The hyperparameter sweep report when the builder was asked to
     /// tune ([`PipelineConfig::tune`]); `None` means paper defaults
     /// throughout.
@@ -687,18 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn configure_overrides_lint_level() {
-        let p = quick()
-            .exact()
-            .configure(PipelineConfig {
-                lint: Some(loopml_lint::LintLevel::Warn),
-                ..PipelineConfig::default()
-            })
-            .build();
-        assert_eq!(p.label_config.lint, loopml_lint::LintLevel::Warn);
-    }
-
-    #[test]
     fn artifacts_round_trip_through_the_pipeline() {
         let p = quick().exact().build();
         let artifact = p.train_artifact("NN", Box::new(NearNeighbors::new(DEFAULT_RADIUS)));
@@ -737,18 +712,28 @@ mod tests {
     }
 
     #[test]
-    fn resilient_build_matches_plain_build_without_faults() {
-        let plain = quick().build();
-        assert!(plain.degradation.is_none());
-        let resilient = quick()
-            .configure(PipelineConfig {
-                resilience: Some(ResilienceConfig::default()),
-                ..PipelineConfig::default()
-            })
-            .build();
-        let report = resilient.degradation.as_ref().expect("resilient path");
-        assert_eq!(resilient.labeled, plain.labeled);
+    #[should_panic(expected = "crashed")]
+    fn uninjected_labeling_crash_fails_the_build() {
+        let mut suite = full_suite(&SuiteConfig {
+            min_loops: 8,
+            max_loops: 10,
+            ..SuiteConfig::default()
+        });
+        crate::label::break_first_latch(&mut suite[2]);
+        let deny = LabelConfig {
+            lint: loopml_lint::LintLevel::Deny,
+            ..LabelConfig::paper(SwpMode::Disabled)
+        };
+        quick().suite(suite).label_config(deny).build();
+    }
+
+    #[test]
+    fn clean_build_reports_no_quarantine() {
+        let p = quick().build();
+        let report = &p.degradation;
         assert!(report.quarantined.is_empty());
-        assert_eq!(report.completed, plain.suite.len());
+        assert!(report.fault_sites.is_empty());
+        assert_eq!(report.completed, p.suite.len());
+        assert_eq!(report.labeled, p.len());
     }
 }

@@ -92,19 +92,19 @@ pub fn labeled_from_json(v: &Json) -> Option<(LabeledLoop, u32)> {
         .map(Json::as_num)
         .collect::<Option<_>>()?;
     let runtimes: [f64; MAX_UNROLL as usize] = rts.try_into().ok()?;
-    let label = v.get("label")?.as_num()? as usize;
+    let label = v.get("label")?.as_usize()?;
     if label >= MAX_UNROLL as usize {
         return None;
     }
     Some((
         LabeledLoop {
             name: v.get("name")?.as_str()?.to_string(),
-            benchmark: v.get("benchmark")?.as_num()? as usize,
+            benchmark: v.get("benchmark")?.as_usize()?,
             features,
             label,
             runtimes,
         },
-        v.get("attempts")?.as_num()? as u32,
+        v.get("attempts")?.as_usize()?.try_into().ok()?,
     ))
 }
 
@@ -166,7 +166,7 @@ pub fn outcome_from_json(
     if doc.get("fingerprint")?.as_str()? != format!("{fingerprint:#018x}") {
         return None;
     }
-    if doc.get("benchmark")?.as_num()? as usize != expect_index {
+    if doc.get("benchmark")?.as_usize()? != expect_index {
         return None;
     }
     if doc.get("name")?.as_str()? != expect_name {
@@ -191,7 +191,7 @@ pub fn outcome_from_json(
     let fault_sites: BTreeMap<String, usize> = match doc.get("fault_sites")? {
         Json::Obj(m) => m
             .iter()
-            .map(|(k, v)| Some((k.clone(), v.as_num()? as usize)))
+            .map(|(k, v)| Some((k.clone(), v.as_usize()?)))
             .collect::<Option<_>>()?,
         _ => return None,
     };

@@ -135,7 +135,7 @@ impl QuarantineEntry {
     pub fn from_json(v: &Json) -> Option<QuarantineEntry> {
         Some(QuarantineEntry {
             scope: QuarantineScope::parse(v.get("scope")?.as_str()?)?,
-            benchmark: v.get("benchmark")?.as_num()? as usize,
+            benchmark: v.get("benchmark")?.as_usize()?,
             name: v.get("name")?.as_str()?.to_string(),
             reason: v.get("reason")?.as_str()?.to_string(),
             site: match v.get("site")? {
@@ -143,7 +143,7 @@ impl QuarantineEntry {
                 Json::Str(s) => Some(s.clone()),
                 _ => return None,
             },
-            attempts: v.get("attempts")?.as_num()? as u32,
+            attempts: v.get("attempts")?.as_usize()?.try_into().ok()?,
         })
     }
 }
@@ -269,7 +269,7 @@ impl DegradationReport {
             match v.get(key)? {
                 Json::Obj(m) => m
                     .iter()
-                    .map(|(k, c)| Some((k.clone(), c.as_num()? as usize)))
+                    .map(|(k, c)| Some((k.clone(), c.as_usize()?)))
                     .collect(),
                 _ => None,
             }
@@ -280,9 +280,9 @@ impl DegradationReport {
             .collect::<Option<_>>()?;
         let fault_sites: BTreeMap<String, usize> = map_counts("fault_sites")?.into_iter().collect();
         Some(DegradationReport {
-            benchmarks: v.get("benchmarks")?.as_num()? as usize,
-            completed: v.get("completed")?.as_num()? as usize,
-            labeled: v.get("labeled")?.as_num()? as usize,
+            benchmarks: v.get("benchmarks")?.as_usize()?,
+            completed: v.get("completed")?.as_usize()?,
+            labeled: v.get("labeled")?.as_usize()?,
             quarantined,
             retry_histogram,
             fault_sites,

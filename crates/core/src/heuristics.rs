@@ -26,36 +26,44 @@ pub trait UnrollHeuristic {
 #[derive(Debug, Clone, Default)]
 pub struct OrcHeuristic;
 
+/// The ORC rule shared by [`OrcHeuristic`] and [`OrcClassifier`]: the
+/// factor for a body of `ops` instructions with trip count `known_trip`
+/// (`None` when unknown).
+fn orc_factor(ops: u32, known_trip: Option<u64>) -> u32 {
+    // Code-size bucket: aim for an unrolled body of ~48 instructions.
+    let mut u: u32 = match ops {
+        0..=11 => 8,
+        12..=23 => 4,
+        24..=47 => 2,
+        _ => 1,
+    };
+    match known_trip {
+        Some(t) => {
+            // Tiny known trips: unroll completely.
+            if t <= u64::from(MAX_UNROLL) {
+                return (t as u32).max(1);
+            }
+            // Avoid remainder iterations: shrink to a divisor.
+            while u > 1 && !t.is_multiple_of(u64::from(u)) {
+                u /= 2;
+            }
+        }
+        // Boundary exits are expensive; stay modest.
+        None => u = u.min(4),
+    }
+    u.max(1)
+}
+
 impl UnrollHeuristic for OrcHeuristic {
     fn choose(&self, l: &Loop) -> u32 {
         if !l.is_unrollable() {
             return 1;
         }
-        let n = l.len() as u32;
-        // Code-size bucket: aim for an unrolled body of ~48 instructions.
-        let mut u = match n {
-            0..=11 => 8,
-            12..=23 => 4,
-            24..=47 => 2,
-            _ => 1,
+        let known_trip = match l.trip_count {
+            TripCount::Known(t) => Some(t),
+            TripCount::Unknown { .. } => None,
         };
-        match l.trip_count {
-            TripCount::Known(t) => {
-                // Tiny known trips: unroll completely.
-                if t <= u64::from(MAX_UNROLL) {
-                    return (t as u32).max(1);
-                }
-                // Avoid remainder iterations: shrink to a divisor.
-                while u > 1 && t % u64::from(u) != 0 {
-                    u /= 2;
-                }
-            }
-            TripCount::Unknown { .. } => {
-                // Boundary exits are expensive; stay modest.
-                u = u.min(4);
-            }
-        }
-        u.max(1)
+        orc_factor(l.len() as u32, known_trip)
     }
 
     fn name(&self) -> &str {
@@ -199,28 +207,8 @@ impl Classifier for OrcClassifier {
     fn fit(&mut self, _data: &Dataset) {}
 
     fn predict(&self, x: &[f64]) -> usize {
-        let n = x[F_OPS] as u32;
-        let mut u: u64 = match n {
-            0..=11 => 8,
-            12..=23 => 4,
-            24..=47 => 2,
-            _ => 1,
-        };
-        if x[F_KNOWN] >= 0.5 {
-            let t = x[F_TRIP].max(0.0) as u64;
-            // Tiny known trips: unroll completely.
-            if t <= u64::from(MAX_UNROLL) {
-                return (t.max(1) - 1) as usize;
-            }
-            // Avoid remainder iterations: shrink to a divisor.
-            while u > 1 && !t.is_multiple_of(u) {
-                u /= 2;
-            }
-        } else {
-            // Boundary exits are expensive; stay modest.
-            u = u.min(4);
-        }
-        (u.max(1) - 1) as usize
+        let known_trip = (x[F_KNOWN] >= 0.5).then(|| x[F_TRIP].max(0.0) as u64);
+        (orc_factor(x[F_OPS] as u32, known_trip) - 1) as usize
     }
 
     fn name(&self) -> &str {

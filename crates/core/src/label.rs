@@ -17,7 +17,7 @@ use loopml_lint::{validate_pipeline, LintLevel};
 use loopml_machine::{icache_entry_cost, loop_cost, MachineConfig, NoiseModel, SwpMode};
 use loopml_opt::{unroll_and_optimize, OptConfig};
 use loopml_rt::fault::site;
-use loopml_rt::{fault_key, num_threads, par_map_result_threads, par_map_threads, FaultPlane, Rng};
+use loopml_rt::{fault_key, num_threads, par_map_result_threads, FaultPlane, Rng};
 
 use crate::checkpoint::{config_fingerprint, read_checkpoint, write_checkpoint};
 use crate::fault::{
@@ -140,37 +140,8 @@ pub fn true_cycles(w: &WeightedLoop, factor: u32, footprint: u64, cfg: &LabelCon
     cost.total(trips, w.entries) + icache * w.entries as f64
 }
 
-/// Labels one loop: measures all eight factors through the noise model
-/// and applies the paper's filters. Returns `None` when the loop is
-/// dropped.
-///
-/// The noise stream is seeded from `(cfg.seed, benchmark_index,
-/// loop_index)` alone, so every loop's measurements are independent of
-/// which other loops are labeled — and of the order or thread they are
-/// labeled on. That per-loop independence is what makes the parallel
-/// labeling engine bit-identical to a serial pass.
-pub fn label_loop(
-    w: &WeightedLoop,
-    loop_index: usize,
-    benchmark_index: usize,
-    footprint: u64,
-    cfg: &LabelConfig,
-) -> Option<LabeledLoop> {
-    label_loop_attempt(
-        w,
-        loop_index,
-        benchmark_index,
-        footprint,
-        cfg,
-        &FaultPlane::disabled(),
-        0,
-    )
-    .unwrap_or_else(|e| panic!("labeling {} failed: {e}", w.body.name))
-}
-
 /// The noise-stream seed for one labeling attempt. Attempt 0 uses the
-/// legacy `(seed, benchmark, loop)` formula — a fault-free resilient run
-/// is bit-identical to [`label_loop`] — and each retry derives a fresh,
+/// `(seed, benchmark, loop)` formula, and each retry derives a fresh,
 /// deterministic seed so a transiently-faulted measurement is genuinely
 /// re-measured, never silently reused.
 pub fn attempt_seed(cfg_seed: u64, benchmark_index: usize, loop_index: usize, attempt: u32) -> u64 {
@@ -182,11 +153,17 @@ pub fn attempt_seed(cfg_seed: u64, benchmark_index: usize, loop_index: usize, at
     }
 }
 
-/// One labeling attempt of one loop: [`label_loop`] with a structured
-/// error path instead of hot-path panics. `Ok(None)` means the loop was
-/// dropped by the paper's filters (not a failure); `Err` reports an
+/// One labeling attempt of one loop: measures all eight factors through
+/// the noise model and applies the paper's filters. `Ok(None)` means the
+/// loop was dropped by the filters (not a failure); `Err` reports an
 /// injected fault from `faults` (site [`site::LABEL_MEASURE`], keyed by
 /// `(benchmark, loop, factor, attempt)`) or a non-finite measurement.
+///
+/// The noise stream is seeded by [`attempt_seed`] alone, so every loop's
+/// measurements are independent of which other loops are labeled — and
+/// of the order or thread they are labeled on. That per-loop
+/// independence is what makes labeling bit-identical at any worker
+/// count.
 pub fn label_loop_attempt(
     w: &WeightedLoop,
     loop_index: usize,
@@ -244,68 +221,11 @@ pub fn label_loop_attempt(
     }))
 }
 
-/// Labels every unrollable loop of a benchmark, applying the paper's
-/// filters. `benchmark_index` is recorded in each example for the
-/// leave-one-benchmark-out protocol.
-///
-/// Loops are measured in parallel across the machine's cores (see
-/// [`loopml_rt::par_map`]; `LOOPML_THREADS` overrides the count). The
-/// result is bit-identical to a serial pass at any thread count because
-/// each loop's noise stream is seeded independently — see [`label_loop`].
-pub fn label_benchmark(
-    b: &Benchmark,
-    benchmark_index: usize,
-    cfg: &LabelConfig,
-) -> Vec<LabeledLoop> {
-    label_benchmark_threads(b, benchmark_index, cfg, num_threads())
-}
-
-/// [`label_benchmark`] with an explicit worker count. `threads <= 1` is
-/// the serial reference implementation the equivalence tests compare
-/// against.
-pub fn label_benchmark_threads(
-    b: &Benchmark,
-    benchmark_index: usize,
-    cfg: &LabelConfig,
-    threads: usize,
-) -> Vec<LabeledLoop> {
-    // Hot-code footprint context: loops at rolled size + non-loop code.
-    let footprint: u64 = hot_footprint(b);
-    let pairs: Vec<(usize, &WeightedLoop)> = b.unrollable().collect();
-    par_map_threads(threads, &pairs, |&(li, w)| {
-        label_loop(w, li, benchmark_index, footprint, cfg)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// Labels a whole suite, parallelizing across benchmarks (the
-/// coarsest-grained work the labeling pipeline has). Nested inside each
-/// worker, the per-benchmark loop labeling runs serially.
-pub fn label_suite(suite: &[Benchmark], cfg: &LabelConfig) -> Vec<LabeledLoop> {
-    label_suite_threads(suite, cfg, num_threads())
-}
-
-/// [`label_suite`] with an explicit worker count.
-pub fn label_suite_threads(
-    suite: &[Benchmark],
-    cfg: &LabelConfig,
-    threads: usize,
-) -> Vec<LabeledLoop> {
-    let indexed: Vec<(usize, &Benchmark)> = suite.iter().enumerate().collect();
-    par_map_threads(threads, &indexed, |&(bi, b)| label_benchmark(b, bi, cfg))
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
-/// Default per-loop retry budget of the resilient labeler: how many
-/// *additional* attempts a transiently-faulted loop gets before it is
-/// quarantined.
+/// Default per-loop retry budget of the labeler: how many *additional*
+/// attempts a transiently-faulted loop gets before it is quarantined.
 pub const DEFAULT_RETRY_BUDGET: u32 = 3;
 
-/// Knobs of the fault-tolerant labeling path, independent of the
+/// Knobs of the fault-tolerant labeling engine, independent of the
 /// measurement configuration so the same [`LabelConfig`] describes both
 /// a clean and a chaos run.
 #[derive(Debug, Clone)]
@@ -384,7 +304,7 @@ impl Shard {
 /// plus the degradation accounting that says what it cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabelRun {
-    /// Labeled loops, in suite order (same order as [`label_suite`]).
+    /// Labeled loops, in suite order.
     pub labeled: Vec<LabeledLoop>,
     /// Attempt index each labeled loop succeeded on, aligned with
     /// `labeled` (0 = clean first try; anything else was re-measured
@@ -395,64 +315,18 @@ pub struct LabelRun {
     pub report: DegradationReport,
 }
 
-/// Outcome of labeling one loop under a retry budget: `Ok(Some(..))` is
-/// the labeled loop with the attempt index it succeeded on (0 = clean
-/// first try), `Ok(None)` means the paper's filters rejected the loop,
-/// and `Err` carries the quarantine entry for an exhausted budget.
-pub type LoopOutcome = Result<Option<(LabeledLoop, u32)>, QuarantineEntry>;
-
-/// Labels one loop with retries: transient faults at
-/// [`site::LABEL_MEASURE`] consume the retry budget (each retry
+/// Labels every unrollable loop of a benchmark, applying the paper's
+/// filters. `benchmark_index` is recorded in each example for the
+/// leave-one-benchmark-out protocol. Transient faults at
+/// [`site::LABEL_MEASURE`] consume the loop's retry budget (each retry
 /// re-measures under a fresh deterministic seed — see [`attempt_seed`]);
-/// exhaustion yields a [`QuarantineEntry`] instead of a panic. Returns
-/// the [`LoopOutcome`] and the per-site count of faults absorbed along
-/// the way.
-pub fn label_loop_resilient(
-    w: &WeightedLoop,
-    loop_index: usize,
-    benchmark_index: usize,
-    footprint: u64,
-    cfg: &LabelConfig,
-    res: &ResilienceConfig,
-) -> (LoopOutcome, BTreeMap<String, usize>) {
-    let mut faults_seen: BTreeMap<String, usize> = BTreeMap::new();
-    let mut last: Option<LabelError> = None;
-    for attempt in 0..=res.retry_budget {
-        match label_loop_attempt(
-            w,
-            loop_index,
-            benchmark_index,
-            footprint,
-            cfg,
-            &res.faults,
-            attempt,
-        ) {
-            Ok(l) => return (Ok(l.map(|l| (l, attempt))), faults_seen),
-            Err(e) => {
-                *faults_seen.entry(e.site_key().to_string()).or_insert(0) += 1;
-                last = Some(e);
-            }
-        }
-    }
-    let last = last.expect("at least one attempt ran");
-    let entry = QuarantineEntry {
-        scope: QuarantineScope::Loop,
-        benchmark: benchmark_index,
-        name: w.body.name.clone(),
-        reason: last.to_string(),
-        site: last.site().map(str::to_string),
-        attempts: res.retry_budget + 1,
-    };
-    (Err(entry), faults_seen)
-}
-
-/// Fault-tolerantly labels one benchmark. Loops that exhaust their retry
-/// budget are quarantined, not fatal. The [`site::LABEL_LOOP`] injection
-/// site (keyed by benchmark index) trips *here*, as a panic, modelling a
-/// benchmark whose labeling process crashes outright — the suite-level
-/// isolation in [`label_suite_resilient`] catches it and quarantines the
-/// whole benchmark.
-pub fn label_benchmark_resilient(
+/// a loop that exhausts it is quarantined, not fatal. The
+/// [`site::LABEL_LOOP`] injection site (keyed by benchmark index) trips
+/// *here*, as a panic, modelling a benchmark whose labeling process
+/// crashes outright — the suite-level isolation in
+/// [`label_suite_resilient`] catches it and quarantines the whole
+/// benchmark.
+pub fn label_benchmark(
     b: &Benchmark,
     benchmark_index: usize,
     cfg: &LabelConfig,
@@ -468,46 +342,55 @@ pub fn label_benchmark_resilient(
         quarantined: Vec::new(),
         fault_sites: BTreeMap::new(),
     };
-    for (li, w) in b.unrollable() {
-        let (result, seen) = label_loop_resilient(w, li, benchmark_index, footprint, cfg, res);
-        for (k, v) in seen {
-            *outcome.fault_sites.entry(k).or_insert(0) += v;
-        }
-        match result {
-            Ok(Some((l, attempts))) => {
-                outcome.labeled.push(l);
-                outcome.attempts.push(attempts);
+    'loops: for (li, w) in b.unrollable() {
+        let mut last = None;
+        for attempt in 0..=res.retry_budget {
+            match label_loop_attempt(w, li, benchmark_index, footprint, cfg, &res.faults, attempt) {
+                Ok(labeled) => {
+                    if let Some(l) = labeled {
+                        outcome.labeled.push(l);
+                        outcome.attempts.push(attempt);
+                    }
+                    continue 'loops;
+                }
+                Err(e) => {
+                    *outcome
+                        .fault_sites
+                        .entry(e.site_key().to_string())
+                        .or_insert(0) += 1;
+                    last = Some(e);
+                }
             }
-            Ok(None) => {}
-            Err(entry) => outcome.quarantined.push(entry),
         }
+        let last = last.expect("at least one attempt ran");
+        outcome.quarantined.push(QuarantineEntry {
+            scope: QuarantineScope::Loop,
+            benchmark: benchmark_index,
+            name: w.body.name.clone(),
+            reason: last.to_string(),
+            site: last.site().map(str::to_string),
+            attempts: res.retry_budget + 1,
+        });
     }
     outcome
 }
 
-/// Fault-tolerantly labels a whole suite: benchmarks run in parallel
+/// Labels a whole suite fault-tolerantly: benchmarks run in parallel
 /// under panic isolation ([`loopml_rt::par_map_result`]), completed
 /// benchmarks are checkpointed (when `res.ckpt_dir` is set), and
 /// `res.resume` reuses valid checkpoints instead of relabeling. The
-/// surviving labels come back in suite order, so a fault-free resilient
-/// run is bit-identical to [`label_suite`] at any thread count.
+/// surviving labels come back in suite order, bit-identical at any
+/// thread count.
+///
+/// `shard` restricts the run to one [`Shard`] of the suite (`None`
+/// labels everything). `suite` is always the **full** suite: the shard
+/// only selects which benchmarks this process labels, while seeds,
+/// checkpoint filenames and the `benchmark` index recorded in every
+/// label stay global — so the shard's output is the exact sub-sequence
+/// a single-process run would have produced for those benchmarks.
+/// `report.benchmarks` counts only the owned benchmarks, making shard
+/// reports sum to the single-process report.
 pub fn label_suite_resilient(
-    suite: &[Benchmark],
-    cfg: &LabelConfig,
-    res: &ResilienceConfig,
-) -> LabelRun {
-    label_suite_resilient_sharded(suite, cfg, res, None)
-}
-
-/// [`label_suite_resilient`] restricted to one [`Shard`] of the suite.
-/// `suite` is always the **full** suite: the shard only selects which
-/// benchmarks this process labels, while seeds, checkpoint filenames and
-/// the `benchmark` index recorded in every label stay global — so the
-/// shard's output is the exact sub-sequence a single-process run would
-/// have produced for those benchmarks. `report.benchmarks` counts only
-/// the owned benchmarks, making shard reports sum to the single-process
-/// report. `shard == None` labels everything.
-pub fn label_suite_resilient_sharded(
     suite: &[Benchmark],
     cfg: &LabelConfig,
     res: &ResilienceConfig,
@@ -543,7 +426,7 @@ pub fn label_suite_resilient_sharded(
         .filter(|&(bi, _)| owned(bi) && outcomes[bi].is_none())
         .collect();
     let results = par_map_result_threads(threads, &todo, |&(bi, b)| {
-        let outcome = label_benchmark_resilient(b, bi, cfg, res);
+        let outcome = label_benchmark(b, bi, cfg, res);
         if let Some(dir) = &res.ckpt_dir {
             if let Err(e) = write_checkpoint(dir, &outcome, fingerprint) {
                 eprintln!(
@@ -614,6 +497,59 @@ pub fn label_suite_resilient_sharded(
     }
 }
 
+/// Re-raises the first benchmark crash that no fault plane injected: a
+/// bug, or a transform-validation deny under [`LintLevel::Deny`].
+/// [`label_suite_resilient`] isolates every crash so `repro label` can
+/// account for it; in-process callers ([`label_suite`],
+/// `PipelineBuilder::build`) fail fast instead, so a miscompiled or
+/// crashing benchmark never goes silently missing from their corpus.
+///
+/// # Panics
+///
+/// Panics with the benchmark's name and the recorded panic message.
+pub(crate) fn fail_on_crash(report: &DegradationReport) {
+    if let Some(e) = report
+        .quarantined
+        .iter()
+        .find(|e| e.scope == QuarantineScope::Benchmark && e.site.is_none())
+    {
+        panic!("labeling {} crashed: {}", e.name, e.reason);
+    }
+}
+
+/// Unpredicates the latch of `b`'s first unrollable loop. Transform
+/// validation denies that loop, so under [`LintLevel::Deny`] labeling
+/// `b` panics with no fault injected.
+#[cfg(test)]
+pub(crate) fn break_first_latch(b: &mut Benchmark) {
+    let (li, _) = b.unrollable().next().expect("an unrollable loop");
+    let body = &mut b.loops[li].body.body;
+    let latch = body.iter_mut().find(|i| i.opcode == loopml_ir::Opcode::Br);
+    latch.expect("a latch").predicate = None;
+}
+
+/// The fault-free view of [`label_suite_resilient`]: the whole suite
+/// with fault injection disabled, no checkpoints and no shard, keeping
+/// only the labeled loops.
+///
+/// # Panics
+///
+/// Panics if a benchmark's labeling crashes, with the benchmark's name
+/// and the panic message: a crash here is a bug or a transform-validation
+/// deny under [`LintLevel::Deny`], since no fault is injected.
+pub fn label_suite(suite: &[Benchmark], cfg: &LabelConfig) -> Vec<LabeledLoop> {
+    let res = ResilienceConfig {
+        faults: FaultPlane::disabled(),
+        retry_budget: DEFAULT_RETRY_BUDGET,
+        ckpt_dir: None,
+        resume: false,
+        threads: 0,
+    };
+    let run = label_suite_resilient(suite, cfg, &res, None);
+    fail_on_crash(&run.report);
+    run.labeled
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,10 +573,16 @@ mod tests {
         )
     }
 
+    /// One benchmark's labels at suite index 0, through the fault-free
+    /// entry point.
+    fn labeled(b: &Benchmark, cfg: &LabelConfig) -> Vec<LabeledLoop> {
+        label_suite(std::slice::from_ref(b), cfg)
+    }
+
     #[test]
     fn labels_are_valid_classes() {
         let b = small_benchmark();
-        let labeled = label_benchmark(&b, 0, &quick_cfg());
+        let labeled = labeled(&b, &quick_cfg());
         assert!(!labeled.is_empty(), "some loops must survive the filters");
         for l in &labeled {
             assert!(l.label < 8);
@@ -652,7 +594,7 @@ mod tests {
     #[test]
     fn label_is_argmin_of_runtimes() {
         let b = small_benchmark();
-        for l in label_benchmark(&b, 0, &quick_cfg()) {
+        for l in labeled(&b, &quick_cfg()) {
             let min = l.runtimes.iter().cloned().fold(f64::INFINITY, f64::min);
             assert_eq!(l.runtimes[l.label], min);
             assert_eq!(l.rank_of(l.best_factor()), 0);
@@ -671,23 +613,23 @@ mod tests {
             min_cycles: 0.0,
             ..quick_cfg()
         };
-        let ns = label_benchmark(&b, 0, &strict).len();
-        let nl = label_benchmark(&b, 0, &lax).len();
+        let ns = labeled(&b, &strict).len();
+        let nl = labeled(&b, &lax).len();
         assert!(ns <= nl, "stricter filter keeps fewer loops: {ns} vs {nl}");
     }
 
     #[test]
     fn labeling_is_deterministic() {
         let b = small_benchmark();
-        let a = label_benchmark(&b, 0, &quick_cfg());
-        let c = label_benchmark(&b, 0, &quick_cfg());
+        let a = labeled(&b, &quick_cfg());
+        let c = labeled(&b, &quick_cfg());
         assert_eq!(a, c);
     }
 
     #[test]
     fn ranked_factors_are_sorted() {
         let b = small_benchmark();
-        for l in label_benchmark(&b, 0, &quick_cfg()) {
+        for l in labeled(&b, &quick_cfg()) {
             let ranked = l.ranked_factors();
             for w in ranked.windows(2) {
                 assert!(w[0].1 <= w[1].1);
@@ -702,37 +644,9 @@ mod tests {
             noise: NoiseModel::paper(),
             ..quick_cfg()
         };
-        let l1 = label_benchmark(&b, 0, &noisy);
-        let l2 = label_benchmark(&b, 0, &noisy);
+        let l1 = labeled(&b, &noisy);
+        let l2 = labeled(&b, &noisy);
         assert_eq!(l1, l2, "same seed, same labels");
-    }
-
-    #[test]
-    fn parallel_labeling_is_bit_identical_to_serial() {
-        // The determinism contract: under measurement noise, the parallel
-        // engine must reproduce the serial reference exactly — labels,
-        // names, order, and every runtime down to the last bit.
-        let b = small_benchmark();
-        let cfg = LabelConfig::paper(SwpMode::Disabled);
-        let serial = label_benchmark_threads(&b, 0, &cfg, 1);
-        assert!(!serial.is_empty());
-        for threads in [2, 3, 4, 8] {
-            let parallel = label_benchmark_threads(&b, 0, &cfg, threads);
-            assert_eq!(serial, parallel, "diverged at {threads} threads");
-        }
-        // And through the default (env/core-count) entry point.
-        assert_eq!(serial, label_benchmark(&b, 0, &cfg));
-    }
-
-    #[test]
-    fn suite_labeling_is_identical_across_thread_counts() {
-        let suite: Vec<Benchmark> = (0..3).map(|_| small_benchmark()).collect();
-        let cfg = LabelConfig::paper(SwpMode::Disabled);
-        let serial = label_suite_threads(&suite, &cfg, 1);
-        for threads in [2, 5] {
-            assert_eq!(serial, label_suite_threads(&suite, &cfg, threads));
-        }
-        assert_eq!(serial, label_suite(&suite, &cfg));
     }
 
     fn suite() -> Vec<Benchmark> {
@@ -760,20 +674,28 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_resilient_run_matches_legacy_exactly() {
+    fn fault_free_runs_are_thread_invariant() {
         let suite = suite();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
-        let legacy = label_suite_threads(&suite, &cfg, 1);
-        for threads in [1, 4] {
-            let run =
-                label_suite_resilient(&suite, &cfg, &resilient(FaultPlane::disabled(), threads));
-            assert_eq!(run.labeled, legacy, "diverged at {threads} threads");
-            assert!(run.attempts.iter().all(|&a| a == 0));
-            assert!(run.report.quarantined.is_empty());
-            assert_eq!(run.report.completed, suite.len());
-            assert_eq!(run.report.labeled, legacy.len());
-            assert!(run.report.fault_sites.is_empty());
+        let run = |threads| {
+            label_suite_resilient(
+                &suite,
+                &cfg,
+                &resilient(FaultPlane::disabled(), threads),
+                None,
+            )
+        };
+        let reference = run(1);
+        assert!(!reference.labeled.is_empty());
+        assert!(reference.attempts.iter().all(|&a| a == 0));
+        assert!(reference.report.quarantined.is_empty());
+        assert_eq!(reference.report.completed, suite.len());
+        assert_eq!(reference.report.labeled, reference.labeled.len());
+        assert!(reference.report.fault_sites.is_empty());
+        for threads in [2, 5] {
+            assert_eq!(run(threads), reference, "diverged at {threads} threads");
         }
+        assert_eq!(label_suite(&suite, &cfg), reference.labeled);
     }
 
     #[test]
@@ -798,7 +720,7 @@ mod tests {
         let suite = suite();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
         let all = FaultPlane::new(1, 1.0).at_site(site::LABEL_MEASURE);
-        let run = label_suite_resilient(&suite, &cfg, &resilient(all, 1));
+        let run = label_suite_resilient(&suite, &cfg, &resilient(all, 1), None);
         assert!(run.labeled.is_empty());
         assert!(!run.report.quarantined.is_empty());
         assert!(run
@@ -819,7 +741,7 @@ mod tests {
         // makes eight faultable measurements per attempt, so even a 10%
         // rate faults most first attempts.)
         let some = FaultPlane::new(7, 0.1).at_site(site::LABEL_MEASURE);
-        let run = label_suite_resilient(&suite, &cfg, &resilient(some, 1));
+        let run = label_suite_resilient(&suite, &cfg, &resilient(some, 1), None);
         assert!(!run.labeled.is_empty());
         assert!(run.attempts.iter().any(|&a| a > 0), "some retries expected");
         assert!(run.report.fault_sites.contains_key(site::LABEL_MEASURE));
@@ -830,9 +752,9 @@ mod tests {
         let suite = suite();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
         let plane = || FaultPlane::new(0xC4A05, 0.25);
-        let reference = label_suite_resilient(&suite, &cfg, &resilient(plane(), 1));
+        let reference = label_suite_resilient(&suite, &cfg, &resilient(plane(), 1), None);
         for threads in [2, 4] {
-            let run = label_suite_resilient(&suite, &cfg, &resilient(plane(), threads));
+            let run = label_suite_resilient(&suite, &cfg, &resilient(plane(), threads), None);
             assert_eq!(run, reference, "chaos diverged at {threads} threads");
         }
     }
@@ -844,7 +766,7 @@ mod tests {
         let plane = FaultPlane::new(0, 1.0)
             .at_site(site::LABEL_LOOP)
             .only_keys(vec![1]);
-        let run = label_suite_resilient(&suite, &cfg, &resilient(plane, 4));
+        let run = label_suite_resilient(&suite, &cfg, &resilient(plane, 4), None);
         let bench_q: Vec<_> = run
             .report
             .quarantined
@@ -860,9 +782,35 @@ mod tests {
         assert!(run.labeled.iter().all(|l| l.benchmark != 1));
         let alone: Vec<LabeledLoop> = [0usize, 2]
             .into_iter()
-            .flat_map(|bi| label_benchmark(&suite[bi], bi, &cfg))
+            .flat_map(|bi| {
+                label_benchmark(&suite[bi], bi, &cfg, &resilient(FaultPlane::disabled(), 1)).labeled
+            })
             .collect();
         assert_eq!(run.labeled, alone);
+    }
+
+    #[test]
+    fn uninjected_crash_is_quarantined_by_the_engine_and_fails_label_suite() {
+        let mut suite = suite();
+        break_first_latch(&mut suite[1]);
+        let cfg = LabelConfig {
+            lint: LintLevel::Deny,
+            ..quick_cfg()
+        };
+        // The engine isolates the crash and records it, as `repro label`
+        // reports it...
+        let run = label_suite_resilient(&suite, &cfg, &resilient(FaultPlane::disabled(), 2), None);
+        let q = &run.report.quarantined;
+        assert_eq!(q.len(), 1, "{q:?}");
+        assert_eq!(q[0].scope, QuarantineScope::Benchmark);
+        assert_eq!((q[0].benchmark, q[0].site.as_deref()), (1, None));
+        // ...while the fault-free view fails fast with the reason.
+        let err = std::panic::catch_unwind(|| label_suite(&suite, &cfg))
+            .expect_err("label_suite must not drop a crashed benchmark");
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        let name = &suite[1].name;
+        assert!(msg.contains(&format!("labeling {name} crashed")), "{msg}");
+        assert!(msg.contains("deny"), "{msg}");
     }
 
     #[test]
@@ -882,12 +830,10 @@ mod tests {
         let suite = suite();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
         let res = resilient(FaultPlane::disabled(), 2);
-        let full = label_suite_resilient(&suite, &cfg, &res);
+        let full = label_suite_resilient(&suite, &cfg, &res, None);
         let count = 2;
         let shards: Vec<LabelRun> = (0..count)
-            .map(|index| {
-                label_suite_resilient_sharded(&suite, &cfg, &res, Some(Shard { index, count }))
-            })
+            .map(|index| label_suite_resilient(&suite, &cfg, &res, Some(Shard { index, count })))
             .collect();
 
         // Each shard's labels are the exact sub-sequence the full run
@@ -919,6 +865,44 @@ mod tests {
     }
 
     #[test]
+    fn checkpoints_with_fractional_counts_are_relabeled() {
+        let suite = suite();
+        let cfg = LabelConfig::paper(SwpMode::Disabled);
+        let dir = std::env::temp_dir().join("loopml_label_whole_counts_unit");
+        let _ = std::fs::remove_dir_all(&dir);
+        let full = ResilienceConfig {
+            faults: FaultPlane::disabled(),
+            ckpt_dir: Some(dir.clone()),
+            threads: 2,
+            ..ResilienceConfig::default()
+        };
+        let clean = label_suite_resilient(&suite, &cfg, &full, None);
+
+        // Overwrite the first value of `key` in benchmark `bi`'s
+        // checkpoint: a corrupt count must be relabeled, never truncated
+        // into a label or an attempt index.
+        let corrupt = |bi: usize, key: &str, value: &str| {
+            let path = crate::checkpoint::checkpoint_path(&dir, bi, &suite[bi].name);
+            let text = std::fs::read_to_string(&path).expect("checkpoint existed");
+            let at = text.find(&format!("\"{key}\":")).expect("key present") + key.len() + 3;
+            let end = at + text[at..].find([',', '}']).expect("value ends");
+            std::fs::write(&path, format!("{}{value}{}", &text[..at], &text[end..])).unwrap();
+        };
+        corrupt(0, "label", "7.75");
+        corrupt(2, "attempts", "-3");
+
+        let resume = ResilienceConfig {
+            resume: true,
+            ..full
+        };
+        let resumed = label_suite_resilient(&suite, &cfg, &resume, None);
+        assert_eq!(resumed.report.resumed, suite.len() - 2);
+        assert_eq!(resumed.labeled, clean.labeled);
+        assert_eq!(resumed.attempts, clean.attempts);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn checkpoint_resume_is_bit_identical() {
         let suite = suite();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
@@ -931,7 +915,7 @@ mod tests {
             threads: 2,
             ..ResilienceConfig::default()
         };
-        let clean = label_suite_resilient(&suite, &cfg, &full);
+        let clean = label_suite_resilient(&suite, &cfg, &full, None);
 
         // Simulate dying partway: drop one checkpoint, resume.
         std::fs::remove_file(crate::checkpoint::checkpoint_path(&dir, 1, &suite[1].name))
@@ -940,7 +924,7 @@ mod tests {
             resume: true,
             ..full
         };
-        let resumed = label_suite_resilient(&suite, &cfg, &resume);
+        let resumed = label_suite_resilient(&suite, &cfg, &resume, None);
         assert_eq!(resumed.labeled, clean.labeled);
         assert_eq!(resumed.attempts, clean.attempts);
         assert_eq!(resumed.report.resumed, 2);

@@ -18,17 +18,21 @@
 //! 5. [`evaluate`] — realize whole-benchmark speedups (Figures 4/5).
 //!
 //! Labeling and evaluation are deterministic *and* parallel: every
-//! measurement-noise stream is seeded per loop, so
-//! [`label::label_suite`] produces bit-identical results at any worker
-//! count (see `crates/rt`). Any model implementing the object-safe
-//! [`loopml_ml::Classifier`] trait plugs into the pipeline unchanged.
+//! measurement-noise stream is seeded per loop, so labeling produces
+//! bit-identical results at any worker count (see `crates/rt`). Any
+//! model implementing the object-safe [`loopml_ml::Classifier`] trait
+//! plugs into the pipeline unchanged.
 //!
-//! The pipeline is also fault-tolerant: [`label::label_suite_resilient`]
-//! retries transient failures under fresh deterministic seeds,
-//! quarantines work that exhausts its budget (reported via
-//! [`fault::DegradationReport`]), checkpoints completed benchmarks for
-//! `repro label --resume` ([`checkpoint`]), and withstands the
-//! deterministic chaos of [`loopml_rt::FaultPlane`] (`LOOPML_FAULTS`).
+//! There is one labeling engine, and it is fault-tolerant:
+//! [`label::label_suite_resilient`] retries transient failures under
+//! fresh deterministic seeds, quarantines work that exhausts its budget
+//! (reported via [`fault::DegradationReport`]), checkpoints completed
+//! benchmarks for `repro label --resume` ([`checkpoint`]), labels one
+//! shard of a multi-process run, and withstands the deterministic chaos
+//! of [`loopml_rt::FaultPlane`] (`LOOPML_FAULTS`).
+//! [`label::label_suite`] is its fault-free view, and
+//! [`PipelineBuilder`] labels through it with the environment's fault
+//! plane; both fail fast on a benchmark crash that no fault injected.
 //!
 //! # Examples
 //!
@@ -87,10 +91,9 @@ pub use heuristics::{
     LearnedHeuristic, OrcClassifier, OrcHeuristic, OrcSwpHeuristic, UnrollHeuristic,
 };
 pub use label::{
-    attempt_seed, hot_footprint, label_benchmark, label_benchmark_resilient,
-    label_benchmark_threads, label_loop, label_loop_attempt, label_loop_resilient, label_suite,
-    label_suite_resilient, label_suite_resilient_sharded, label_suite_threads, LabelConfig,
-    LabelRun, LabeledLoop, LoopOutcome, ResilienceConfig, Shard, DEFAULT_RETRY_BUDGET, MAX_UNROLL,
+    attempt_seed, hot_footprint, label_benchmark, label_loop_attempt, label_suite,
+    label_suite_resilient, LabelConfig, LabelRun, LabeledLoop, ResilienceConfig, Shard,
+    DEFAULT_RETRY_BUDGET, MAX_UNROLL,
 };
 pub use pipeline::{
     benchmark_groups, feature_names, informative_features, loocv_accuracy, svm_training_error,

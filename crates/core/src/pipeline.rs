@@ -89,7 +89,7 @@ pub fn loocv_accuracy(data: &Dataset, clf: &dyn Classifier) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::label::{label_benchmark, LabelConfig};
+    use crate::label::{label_benchmark, LabelConfig, ResilienceConfig};
     use loopml_corpus::{synthesize, SuiteConfig, ROSTER};
     use loopml_machine::{NoiseModel, SwpMode};
 
@@ -106,7 +106,7 @@ mod tests {
             noise: NoiseModel::exact(),
             ..LabelConfig::paper(SwpMode::Disabled)
         };
-        label_benchmark(&b, 3, &cfg)
+        label_benchmark(&b, 3, &cfg, &ResilienceConfig::default()).labeled
     }
 
     #[test]

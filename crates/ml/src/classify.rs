@@ -113,12 +113,10 @@ impl Classifier for Constant {
 
     fn load(&mut self, state: &Json) -> Result<(), String> {
         expect_kind(state, "constant")?;
-        let class = state
+        self.class = state
             .get("class")
-            .and_then(Json::as_num)
-            .filter(|c| *c >= 0.0 && c.fract() == 0.0)
+            .and_then(Json::as_usize)
             .ok_or("constant state has no class")?;
-        self.class = class as usize;
         Ok(())
     }
 }

@@ -54,9 +54,8 @@ impl ForestParams {
     pub fn from_json(doc: &Json) -> Result<Self, String> {
         let trees = doc
             .get("trees")
-            .and_then(Json::as_num)
-            .filter(|v| *v >= 1.0 && v.fract() == 0.0)
-            .map(|v| v as usize)
+            .and_then(Json::as_usize)
+            .filter(|&v| v >= 1)
             .ok_or("forest params have no positive tree count")?;
         let tree =
             TreeParams::from_json(doc.get("tree").ok_or("forest params have no tree block")?)?;
@@ -198,9 +197,7 @@ impl Classifier for BaggedForest {
             ForestParams::from_json(state.get("params").ok_or("Forest state has no params")?)?;
         let classes = state
             .get("classes")
-            .and_then(Json::as_num)
-            .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-            .map(|v| v as usize)
+            .and_then(Json::as_usize)
             .ok_or("Forest state has no class count")?;
         let raw = state
             .get("members")

@@ -60,9 +60,7 @@ impl MlpParams {
     pub fn from_json(doc: &Json) -> Result<Self, String> {
         let whole = |key: &str| {
             doc.get(key)
-                .and_then(Json::as_num)
-                .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-                .map(|v| v as usize)
+                .and_then(Json::as_usize)
                 .ok_or_else(|| format!("MLP params have no whole {key}"))
         };
         let hidden = whole("hidden")?;
@@ -318,9 +316,7 @@ impl Classifier for Mlp {
         let whole = |key: &str| {
             state
                 .get(key)
-                .and_then(Json::as_num)
-                .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-                .map(|v| v as usize)
+                .and_then(Json::as_usize)
                 .ok_or_else(|| format!("MLP state has no whole {key}"))
         };
         let classes = whole("classes")?;

@@ -228,9 +228,8 @@ impl Classifier for NearNeighbors {
             .ok_or("NN state has no positive radius")?;
         let classes = state
             .get("classes")
-            .and_then(Json::as_num)
-            .filter(|c| *c >= 0.0 && c.fract() == 0.0)
-            .ok_or("NN state has no class count")? as usize;
+            .and_then(Json::as_usize)
+            .ok_or("NN state has no class count")?;
         let normalizer = match state.get("normalizer") {
             Some(Json::Null) => None,
             Some(doc) => Some(MinMaxNormalizer::from_json(doc)?),

@@ -50,13 +50,9 @@ impl SvmParams {
                 .ok_or_else(|| format!("SVM params have no numeric {key:?}"))
         };
         let count = |key: &str| {
-            num(key).and_then(|v| {
-                if v >= 0.0 && v.fract() == 0.0 {
-                    Ok(v as usize)
-                } else {
-                    Err(format!("SVM params {key:?} is not a whole count"))
-                }
-            })
+            doc.get(key)
+                .and_then(Json::as_usize)
+                .ok_or_else(|| format!("SVM params {key:?} is not a whole count"))
         };
         Ok(SvmParams {
             c: num("c")?,
@@ -490,9 +486,8 @@ impl Classifier for MulticlassSvm {
         let params = SvmParams::from_json(state.get("params").unwrap_or(&Json::Null))?;
         let classes = state
             .get("classes")
-            .and_then(Json::as_num)
-            .filter(|c| *c >= 0.0 && c.fract() == 0.0)
-            .ok_or("SVM state has no class count")? as usize;
+            .and_then(Json::as_usize)
+            .ok_or("SVM state has no class count")?;
         let normalizer =
             MinMaxNormalizer::from_json(state.get("normalizer").unwrap_or(&Json::Null))?;
         let xs: Vec<Vec<f64>> = state

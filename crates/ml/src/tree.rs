@@ -55,9 +55,7 @@ impl TreeParams {
     pub fn from_json(doc: &Json) -> Result<Self, String> {
         let field = |key: &str| {
             doc.get(key)
-                .and_then(Json::as_num)
-                .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-                .map(|v| v as usize)
+                .and_then(Json::as_usize)
                 .ok_or_else(|| format!("tree params have no whole {key}"))
         };
         let max_depth = field("max_depth")?;
@@ -352,9 +350,7 @@ impl Classifier for DecisionTree {
         let whole = |key: &str| {
             state
                 .get(key)
-                .and_then(Json::as_num)
-                .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-                .map(|v| v as usize)
+                .and_then(Json::as_usize)
                 .ok_or_else(|| format!("Tree state has no whole {key}"))
         };
         let classes = whole("classes")?;
@@ -370,19 +366,17 @@ impl Classifier for DecisionTree {
             .ok_or("Tree state has no nodes")?;
         let mut nodes = Vec::with_capacity(raw.len());
         for doc in raw {
-            let num = |key: &str| {
+            let whole = |key: &str| {
                 doc.get(key)
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("Tree node has no {key}"))
+                    .and_then(Json::as_usize)
+                    .ok_or_else(|| format!("Tree node has no whole {key}"))
             };
             let feature = match doc.get("feature") {
                 Some(Json::Null) => LEAF,
                 Some(v) => {
                     let f = v
-                        .as_num()
-                        .filter(|f| *f >= 0.0 && f.fract() == 0.0)
-                        .ok_or("Tree node feature is not a whole number")?
-                        as usize;
+                        .as_usize()
+                        .ok_or("Tree node feature is not a whole number")?;
                     if f >= dims {
                         return Err(format!("Tree node splits on feature {f} of {dims}"));
                     }
@@ -390,17 +384,19 @@ impl Classifier for DecisionTree {
                 }
                 None => return Err("Tree node has no feature".into()),
             };
-            let threshold = num("threshold")?;
+            let threshold = doc
+                .get("threshold")
+                .and_then(Json::as_num)
+                .ok_or("Tree node has no threshold")?;
             if !threshold.is_finite() {
                 return Err("Tree node threshold is not finite".into());
             }
-            let (left, right, label) = (num("left")?, num("right")?, num("label")?);
             let node = Node {
                 feature,
                 threshold,
-                left: left as usize,
-                right: right as usize,
-                label: label as usize,
+                left: whole("left")?,
+                right: whole("right")?,
+                label: whole("label")?,
             };
             if node.label >= classes.max(1) {
                 return Err("Tree node label out of class range".into());
@@ -585,6 +581,7 @@ mod tests {
             good.replace("\"kind\":\"Tree\"", "\"kind\":\"NN\""),
             good.replace("\"min_leaf\":2", "\"min_leaf\":0"),
             good.replace("\"left\":", "\"left\":99999, \"was\":"),
+            good.replace("\"label\":", "\"label\":0.5, \"was\":"),
         ] {
             let doc = Json::parse(&bad).expect("still JSON");
             assert!(victim.load(&doc).is_err(), "should reject: {bad}");

@@ -104,16 +104,18 @@ impl Json {
         self.as_arr()?.iter().map(Json::as_num).collect()
     }
 
+    /// The number as `usize`, if this is a non-negative whole number.
+    /// Counts and indices read through here, so `7.75` or `-3` is
+    /// rejected instead of truncated.
+    pub fn as_usize(&self) -> Option<usize> {
+        let n = self.as_num()?;
+        (n >= 0.0 && n.fract() == 0.0).then_some(n as usize)
+    }
+
     /// The elements as `usize`, if this is an array of non-negative
     /// integral numbers.
     pub fn as_usizes(&self) -> Option<Vec<usize>> {
-        self.as_arr()?
-            .iter()
-            .map(|v| {
-                let n = v.as_num()?;
-                (n >= 0.0 && n.fract() == 0.0).then_some(n as usize)
-            })
-            .collect()
+        self.as_arr()?.iter().map(Json::as_usize).collect()
     }
 }
 
@@ -440,6 +442,15 @@ mod tests {
         // Fractional or negative entries are not usizes.
         assert_eq!(Json::from_f64s(&[1.5]).as_usizes(), None);
         assert_eq!(Json::from_f64s(&[-1.0]).as_usizes(), None);
+        assert_eq!(Json::Num(7.0).as_usize(), Some(7));
+        for bad in [
+            Json::Num(7.75),
+            Json::Num(-3.0),
+            Json::Num(f64::NAN),
+            Json::Null,
+        ] {
+            assert_eq!(bad.as_usize(), None, "{bad:?}");
+        }
         assert_eq!(Json::Null.as_f64s(), None);
         let o = Json::obj([("b", Json::Num(1.0)), ("a", Json::Bool(true))]);
         assert_eq!(o.to_string(), r#"{"a":true,"b":1}"#);

@@ -28,7 +28,6 @@
 use std::collections::BTreeMap;
 use std::io::{BufRead, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
 
 use loopml_rt::fault::site;
 use loopml_rt::{fault_key, FaultPlane, InjectedFault, Json};
@@ -85,8 +84,8 @@ impl ServeOptions {
     }
 }
 
-/// What a daemon run served: volumes, latencies, and the robustness
-/// counters the `stats` control request and the drain document report.
+/// What a daemon run served: volumes and the robustness counters the
+/// `stats` control request and the drain document report.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
     /// Requests answered (including error answers, excluding control
@@ -94,8 +93,6 @@ pub struct ServeStats {
     pub batches: usize,
     /// Total predictions returned across all batches.
     pub predictions: usize,
-    /// Wall-clock milliseconds per answered batch, in arrival order.
-    pub latencies_ms: Vec<f64>,
     /// Requests answered with an error document.
     pub errors: usize,
     /// In-daemon retry attempts consumed by injected faults.
@@ -110,14 +107,12 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    fn record(&mut self, response: &Response, started: Instant) {
+    fn record(&mut self, response: &Response) {
         self.batches += 1;
         match response {
             Response::Factors { factors, .. } => self.predictions += factors.len(),
             Response::Error { .. } => self.errors += 1,
         }
-        self.latencies_ms
-            .push(started.elapsed().as_secs_f64() * 1e3);
     }
 
     fn record_fault(&mut self, at: &str) {
@@ -199,14 +194,13 @@ impl<'m> ServeSession<'m> {
         match Json::parse(line) {
             Ok(doc) => Some(self.answer_doc(&doc)),
             Err(e) => {
-                let started = Instant::now();
                 let r = Response::error(
                     Json::Null,
                     code::DECODE,
                     format!("request is not valid JSON: {e}"),
                 );
                 self.seq += 1;
-                self.stats.record(&r, started);
+                self.stats.record(&r);
                 Some(SessionReply::Answer(r))
             }
         }
@@ -217,20 +211,18 @@ impl<'m> ServeSession<'m> {
         if let Some(what) = doc.get("control").and_then(Json::as_str) {
             return self.answer_control(what);
         }
-        let started = Instant::now();
         let response = self.answer_request(doc);
         self.seq += 1;
-        self.stats.record(&response, started);
+        self.stats.record(&response);
         SessionReply::Answer(response)
     }
 
     /// Answers a defective transport read (oversized frame, overlong
     /// line, torn frame) as a structured error response.
     pub fn answer_defect(&mut self, defect_code: &'static str, message: String) -> SessionReply {
-        let started = Instant::now();
         let r = Response::error(Json::Null, defect_code, message);
         self.seq += 1;
-        self.stats.record(&r, started);
+        self.stats.record(&r);
         SessionReply::Answer(r)
     }
 
@@ -387,18 +379,16 @@ pub fn validate_serve_stats(doc: &Json) -> Result<(), String> {
         other => return Err(format!("bad fingerprint field {other:?}")),
     }
     for key in ["served", "predictions", "errors", "retries", "controls"] {
-        match doc.get(key).and_then(Json::as_num) {
-            Some(v) if v >= 0.0 && v.fract() == 0.0 => {}
-            _ => return Err(format!("counter {key:?} is not a whole number")),
+        if doc.get(key).and_then(Json::as_usize).is_none() {
+            return Err(format!("counter {key:?} is not a whole number"));
         }
     }
     let Some(Json::Obj(faults)) = doc.get("faults") else {
         return Err("faults is not an object".into());
     };
     for (site, v) in faults {
-        match v.as_num() {
-            Some(n) if n >= 0.0 && n.fract() == 0.0 => {}
-            _ => return Err(format!("fault counter {site:?} is not a whole number")),
+        if v.as_usize().is_none() {
+            return Err(format!("fault counter {site:?} is not a whole number"));
         }
     }
     match doc.get("drained") {

@@ -90,7 +90,6 @@ fn line_daemon_round_trips_loops_and_features() {
     let mut output = Vec::new();
     let stats = serve_lines(&model, input.as_bytes(), &mut output).expect("serve");
     assert_eq!(stats.batches, 4);
-    assert_eq!(stats.latencies_ms.len(), 4);
 
     let text = String::from_utf8(output).unwrap();
     let responses: Vec<Response> = text

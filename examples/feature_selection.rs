@@ -6,7 +6,7 @@
 //! cargo run --release --example feature_selection
 //! ```
 
-use loopml::{label_benchmark, to_dataset, LabelConfig};
+use loopml::{label_suite, to_dataset, LabelConfig};
 use loopml_corpus::{synthesize, SuiteConfig, ROSTER};
 use loopml_machine::{NoiseModel, SwpMode};
 use loopml_ml::{greedy_forward, loocv_nn, mutual_information, nn1_training_error, DEFAULT_RADIUS};
@@ -22,13 +22,12 @@ fn main() {
         max_loops: 35,
         ..SuiteConfig::default()
     };
-    let labeled: Vec<_> = ROSTER
+    let suite: Vec<_> = ROSTER
         .iter()
         .take(16)
-        .enumerate()
-        .flat_map(|(i, e)| label_benchmark(&synthesize(e, &suite_cfg), i, &cfg))
+        .map(|e| synthesize(e, &suite_cfg))
         .collect();
-    let data = to_dataset(&labeled);
+    let data = to_dataset(&label_suite(&suite, &cfg));
     println!("{} labeled loops, {} features\n", data.len(), data.dims());
 
     // Mutual information (Table 3).

@@ -10,7 +10,7 @@
 //! cargo run --release --example outlier_analysis
 //! ```
 
-use loopml::{label_benchmark, to_dataset, LabelConfig};
+use loopml::{label_suite, to_dataset, LabelConfig};
 use loopml_corpus::{synthesize, SuiteConfig, ROSTER};
 use loopml_machine::{NoiseModel, SwpMode};
 use loopml_ml::{NearNeighbors, DEFAULT_RADIUS};
@@ -25,12 +25,12 @@ fn main() {
         max_loops: 35,
         ..SuiteConfig::default()
     };
-    let labeled: Vec<_> = ROSTER
+    let suite: Vec<_> = ROSTER
         .iter()
         .take(12)
-        .enumerate()
-        .flat_map(|(i, e)| label_benchmark(&synthesize(e, &suite_cfg), i, &cfg))
+        .map(|e| synthesize(e, &suite_cfg))
         .collect();
+    let labeled = label_suite(&suite, &cfg);
     let data = to_dataset(&labeled);
     let nn = NearNeighbors::fit(&data, DEFAULT_RADIUS);
 

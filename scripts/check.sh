@@ -24,7 +24,11 @@
 # well-formed request byte-identically to a clean run and drain a
 # schema-validated serve-stats document), and the supervisor gate
 # (`repro label-supervise 3` with one shard chaos-killed mid-run must
-# self-heal and merge labels byte-identical to the single-process run).
+# self-heal and merge labels byte-identical to the single-process run),
+# the builder chaos gate (`repro train --smoke` under the labeling
+# chaos spec must quarantine instead of crashing: it exits 0 with fewer
+# training examples than the clean run), and the examples gate (every
+# example binary runs to completion).
 #
 # Runs entirely offline — the workspace has no external dependencies
 # (enforced by tests/zero_deps.rs).
@@ -63,8 +67,9 @@ done
 serve_dir=$(mktemp -d)
 trap 'rm -rf "$serve_dir"' EXIT
 echo "check.sh: serve gate (train / serve-bench / daemon diff)"
-cargo run --release -q -p loopml-bench --bin repro -- train --smoke \
-    --out "$serve_dir/model.json"
+clean_train=$(cargo run --release -q -p loopml-bench --bin repro -- train --smoke \
+    --out "$serve_dir/model.json")
+echo "$clean_train"
 cargo run --release -q -p loopml-bench --bin repro -- serve-bench --smoke \
     --artifact "$serve_dir/model.json" \
     --dump-requests "$serve_dir/requests.jsonl" \
@@ -180,5 +185,25 @@ cargo run --release -q -p loopml-bench --bin repro -- label-supervise 3 \
     --degradation "$shard_dir/supervised_deg.json"
 cmp "$shard_dir/single.json" "$shard_dir/supervised.json"
 cmp "$shard_dir/single_deg.json" "$shard_dir/supervised_deg.json"
+
+# Builder chaos gate: PipelineBuilder labels through the fault-tolerant
+# engine, so the chaos spec the label gate uses must cost training
+# examples (quarantined loops), never the run.
+echo "check.sh: builder chaos gate (train under label.measure faults)"
+chaos_train=$(LOOPML_FAULTS=20260806:0.06:label.measure \
+    cargo run --release -q -p loopml-bench --bin repro -- train --smoke \
+    --out "$chaos_dir/chaos_model.json")
+echo "$chaos_train"
+examples_of() { sed -n 's/.*"examples":\([0-9]*\).*/\1/p' <<< "$1"; }
+clean_examples=$(examples_of "$clean_train")
+chaos_examples=$(examples_of "$chaos_train")
+[ -n "$clean_examples" ] && [ -n "$chaos_examples" ]
+[ "$chaos_examples" -lt "$clean_examples" ]
+
+# Examples gate: clippy compiles the examples, this runs them.
+for example in quickstart spec_sweep feature_selection outlier_analysis custom_loop model_zoo; do
+    echo "check.sh: example $example"
+    cargo run --release -q --example "$example" > /dev/null
+done
 
 echo "check.sh: all gates passed"

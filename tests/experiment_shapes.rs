@@ -2,13 +2,13 @@
 //! the qualitative findings that must hold for the reproduction to be
 //! meaningful, independent of exact percentages.
 
-use loopml_bench::{experiments, Context, Scale};
-use loopml_machine::SwpMode;
+use loopml::Pipeline;
+use loopml_bench::{experiments, Scale};
 use std::sync::OnceLock;
 
-fn ctx_off() -> &'static Context {
-    static CTX: OnceLock<Context> = OnceLock::new();
-    CTX.get_or_init(|| Context::build(Scale::Quick, SwpMode::Disabled))
+fn ctx_off() -> &'static Pipeline {
+    static CTX: OnceLock<Pipeline> = OnceLock::new();
+    CTX.get_or_init(|| Scale::Quick.builder(1).build())
 }
 
 #[test]

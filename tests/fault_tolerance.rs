@@ -53,7 +53,9 @@ fn crashing_benchmark_never_contaminates_siblings() {
         .iter()
         .enumerate()
         .filter(|(bi, _)| *bi != poisoned)
-        .flat_map(|(bi, b)| label_benchmark(b, bi, &cfg()))
+        .flat_map(|(bi, b)| {
+            label_benchmark(b, bi, &cfg(), &resilience(FaultPlane::disabled(), 1)).labeled
+        })
         .collect();
     assert!(!alone.is_empty());
 
@@ -61,7 +63,7 @@ fn crashing_benchmark_never_contaminates_siblings() {
         let plane = FaultPlane::new(0, 1.0)
             .at_site(site::LABEL_LOOP)
             .only_keys(vec![poisoned as u64]);
-        let run = label_suite_resilient(&suite, &cfg(), &resilience(plane, threads));
+        let run = label_suite_resilient(&suite, &cfg(), &resilience(plane, threads), None);
         assert_eq!(
             run.labeled, alone,
             "survivors diverged at {threads} thread(s)"
@@ -84,7 +86,7 @@ fn crashing_benchmark_never_contaminates_siblings() {
 fn chaos_runs_complete_and_reproduce() {
     let suite = small_suite();
     let plane = || FaultPlane::new(0x20260806, 0.08).at_site(site::LABEL_MEASURE);
-    let reference = label_suite_resilient(&suite, &cfg(), &resilience(plane(), 1));
+    let reference = label_suite_resilient(&suite, &cfg(), &resilience(plane(), 1), None);
     assert!(!reference.labeled.is_empty(), "chaos must not stop the run");
     assert!(
         reference.report.fault_sites[site::LABEL_MEASURE] > 0,
@@ -95,18 +97,18 @@ fn chaos_runs_complete_and_reproduce() {
         "some loops should have needed retries"
     );
     for threads in [2usize, 4] {
-        let run = label_suite_resilient(&suite, &cfg(), &resilience(plane(), threads));
+        let run = label_suite_resilient(&suite, &cfg(), &resilience(plane(), threads), None);
         assert_eq!(run, reference, "chaos diverged at {threads} threads");
     }
     assert_eq!(
-        label_suite_resilient(&suite, &cfg(), &resilience(plane(), 1)),
+        label_suite_resilient(&suite, &cfg(), &resilience(plane(), 1), None),
         reference,
         "rerun must be bit-identical"
     );
 
     // Labels the chaos run produced without retries match a fault-free
     // run exactly (the fault plane costs coverage, never accuracy).
-    let clean = label_suite_resilient(&suite, &cfg(), &resilience(FaultPlane::disabled(), 1));
+    let clean = label_suite_resilient(&suite, &cfg(), &resilience(FaultPlane::disabled(), 1), None);
     for (l, &a) in reference.labeled.iter().zip(&reference.attempts) {
         if a == 0 {
             let c = clean
@@ -165,7 +167,7 @@ fn resume_after_partial_loss_is_bit_identical() {
         threads: 2,
         ..ResilienceConfig::default()
     };
-    let full = label_suite_resilient(&suite, &cfg(), &full_cfg);
+    let full = label_suite_resilient(&suite, &cfg(), &full_cfg, None);
 
     // "Crash": one checkpoint disappears, another is truncated mid-write.
     let gone = loopml::checkpoint_path(&dir, 0, &suite[0].name);
@@ -181,6 +183,7 @@ fn resume_after_partial_loss_is_bit_identical() {
             resume: true,
             ..full_cfg
         },
+        None,
     );
     assert_eq!(resumed.labeled, full.labeled);
     assert_eq!(resumed.attempts, full.attempts);
@@ -209,6 +212,7 @@ fn resume_after_partial_loss_is_bit_identical() {
                 ..ResilienceConfig::default()
             }
         },
+        None,
     );
     assert_eq!(fresh.report.resumed, 0, "stale checkpoints must be ignored");
 }
@@ -220,7 +224,7 @@ fn resume_after_partial_loss_is_bit_identical() {
 /// fingerprint; a duplicated shard set is a spec error.
 #[test]
 fn killed_shard_resumes_and_merges_bit_identically() {
-    use loopml::{label_suite_resilient_sharded, Shard};
+    use loopml::Shard;
     use loopml_bench::labelrun::{
         labels_to_json, labels_to_json_sharded, run_label_merge, MergeError,
     };
@@ -238,27 +242,27 @@ fn killed_shard_resumes_and_merges_bit_identically() {
         ..ResilienceConfig::default()
     };
     let single = labels_to_json(
-        &label_suite_resilient(&suite, &config, &ResilienceConfig::default()),
+        &label_suite_resilient(&suite, &config, &ResilienceConfig::default(), None),
         config.swp,
     );
 
     let count = 2usize;
     let shard = |index| Shard { index, count };
     // Shard 0 completes normally.
-    let run0 = label_suite_resilient_sharded(&suite, &config, &res(false), Some(shard(0)));
+    let run0 = label_suite_resilient(&suite, &config, &res(false), Some(shard(0)));
     let path0 = dir.join("shard0.json");
     let doc0 = labels_to_json_sharded(&run0, config.swp, Some(shard(0))).to_string();
     std::fs::write(&path0, format!("{doc0}\n")).unwrap();
 
     // Shard 1 is "killed": its checkpoints exist but one is lost and no
     // shard document was ever written.
-    let killed = label_suite_resilient_sharded(&suite, &config, &res(false), Some(shard(1)));
+    let killed = label_suite_resilient(&suite, &config, &res(false), Some(shard(1)));
     std::fs::remove_file(loopml::checkpoint_path(&ckpt, 1, &suite[1].name))
         .expect("shard 1's checkpoint existed");
 
     // The restarted worker resumes the surviving checkpoints and emits
     // a byte-identical shard document.
-    let resumed = label_suite_resilient_sharded(&suite, &config, &res(true), Some(shard(1)));
+    let resumed = label_suite_resilient(&suite, &config, &res(true), Some(shard(1)));
     assert_eq!(resumed.labeled, killed.labeled);
     assert_eq!(resumed.attempts, killed.attempts);
     assert!(resumed.report.resumed > 0, "surviving checkpoints reused");

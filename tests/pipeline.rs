@@ -2,15 +2,17 @@
 //! heuristics → whole-benchmark evaluation, crossing every crate.
 
 use loopml::{
-    improvement, label_benchmark, label_suite, label_suite_threads, oracle_choices, run_benchmark,
-    to_dataset, EvalConfig, LabelConfig, LearnedHeuristic, OrcHeuristic, PipelineBuilder,
-    UnrollHeuristic,
+    improvement, label_suite, label_suite_resilient, oracle_choices, run_benchmark, to_dataset,
+    EvalConfig, LabelConfig, LabeledLoop, LearnedHeuristic, OrcHeuristic, PipelineBuilder,
+    ResilienceConfig, UnrollHeuristic,
 };
 use loopml_corpus::{full_suite, synthesize, SuiteConfig, ROSTER};
+use loopml_ir::Benchmark;
 use loopml_machine::{NoiseModel, SwpMode};
 use loopml_ml::{
     greedy_forward, greedy_forward_nn, loocv_nn, nn1_training_error, NearNeighbors, DEFAULT_RADIUS,
 };
+use loopml_rt::FaultPlane;
 
 fn small_suite_cfg() -> SuiteConfig {
     SuiteConfig {
@@ -18,6 +20,11 @@ fn small_suite_cfg() -> SuiteConfig {
         max_loops: 14,
         ..SuiteConfig::default()
     }
+}
+
+/// One benchmark's labels, as the first (index 0) benchmark of a suite.
+fn label_one(b: &Benchmark, cfg: &LabelConfig) -> Vec<LabeledLoop> {
+    label_suite(std::slice::from_ref(b), cfg)
 }
 
 fn exact_labels() -> LabelConfig {
@@ -114,7 +121,7 @@ fn oracle_dominates_heuristics_without_noise() {
 fn labeling_and_evaluation_are_reproducible() {
     let b = synthesize(&ROSTER[5], &small_suite_cfg());
     let cfg = LabelConfig::paper(SwpMode::Disabled);
-    assert_eq!(label_benchmark(&b, 0, &cfg), label_benchmark(&b, 0, &cfg));
+    assert_eq!(label_one(&b, &cfg), label_one(&b, &cfg));
     let ec = EvalConfig::paper(SwpMode::Disabled);
     let h = OrcHeuristic;
     assert_eq!(
@@ -138,20 +145,28 @@ fn corpus_scale_is_paper_scale() {
 #[test]
 fn parallel_suite_labeling_matches_serial_end_to_end() {
     // The determinism contract, exercised across crates: with measurement
-    // noise on, the parallel labeling engine must be bit-identical to the
-    // serial reference at any worker count.
+    // noise on, the labeling engine must be bit-identical to its serial
+    // run at any worker count.
     let suite: Vec<_> = ROSTER
         .iter()
         .take(6)
         .map(|e| synthesize(e, &small_suite_cfg()))
         .collect();
     let cfg = LabelConfig::paper(SwpMode::Disabled);
-    let serial = label_suite_threads(&suite, &cfg, 1);
-    assert!(!serial.is_empty());
+    let run = |threads| {
+        let res = ResilienceConfig {
+            faults: FaultPlane::disabled(),
+            threads,
+            ..ResilienceConfig::default()
+        };
+        label_suite_resilient(&suite, &cfg, &res, None)
+    };
+    let serial = run(1);
+    assert!(!serial.labeled.is_empty());
     for threads in [2, 4, 7] {
-        assert_eq!(serial, label_suite_threads(&suite, &cfg, threads));
+        assert_eq!(serial, run(threads));
     }
-    assert_eq!(serial, label_suite(&suite, &cfg));
+    assert_eq!(serial.labeled, label_suite(&suite, &cfg));
 }
 
 #[test]
@@ -188,12 +203,12 @@ fn swp_labels_differ_from_non_swp_labels() {
     // The paper trains separate heuristics per regime because the best
     // factor changes when the pipeliner is on.
     let b = synthesize(&ROSTER[2], &small_suite_cfg());
-    let off = label_benchmark(&b, 0, &exact_labels());
+    let off = label_one(&b, &exact_labels());
     let on_cfg = LabelConfig {
         noise: NoiseModel::exact(),
         ..LabelConfig::paper(SwpMode::Enabled)
     };
-    let on = label_benchmark(&b, 0, &on_cfg);
+    let on = label_one(&b, &on_cfg);
     // Same loops may survive differently; compare the overlap.
     let off_map: std::collections::HashMap<&str, usize> =
         off.iter().map(|l| (l.name.as_str(), l.label)).collect();
