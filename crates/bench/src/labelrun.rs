@@ -142,7 +142,8 @@ pub fn labels_to_json_sharded(run: &LabelRun, swp: SwpMode, shard: Option<Shard>
 }
 
 /// Runs `repro label`. Returns the degradation-lint report's deny count
-/// (nonzero means the run should exit with failure).
+/// (nonzero means the run should exit with failure), or an error when
+/// a benchmark crashed with no fault injected (see [`finish_label`]).
 pub fn run_label(args: &LabelArgs) -> Result<usize, String> {
     let mut suite = full_suite(&args.scale.suite_config_at(args.corpus_scale));
     if let Some(n) = args.take {
@@ -164,15 +165,21 @@ pub fn run_label(args: &LabelArgs) -> Result<usize, String> {
         eprintln!("[label] shard {}/{}", s.index, s.count);
     }
     let run = loopml::label_suite_resilient(&suite, &cfg, &res, args.shard);
+    finish_label(&run, cfg.swp, args)
+}
 
+/// Writes `run`'s labels and degradation report to `args`' paths,
+/// prints its summary and lints its quarantine rate; returns the lint's
+/// deny count. A benchmark crash that no fault plane injected (a bug,
+/// or a transform-validation deny under `LOOPML_LINT=deny`) is an
+/// error, returned after both files are written so its quarantine
+/// entry stays on record. Injected crashes are expected degradation.
+fn finish_label(run: &LabelRun, swp: SwpMode, args: &LabelArgs) -> Result<usize, String> {
     let write = |path: &PathBuf, doc: &Json| -> Result<(), String> {
         std::fs::write(path, format!("{doc}\n"))
             .map_err(|e| format!("write {}: {e}", path.display()))
     };
-    write(
-        &args.out,
-        &labels_to_json_sharded(&run, cfg.swp, args.shard),
-    )?;
+    write(&args.out, &labels_to_json_sharded(run, swp, args.shard))?;
     write(&args.degradation, &run.report.to_json())?;
 
     let r = &run.report;
@@ -193,6 +200,12 @@ pub fn run_label(args: &LabelArgs) -> Result<usize, String> {
     let lint = lint_quarantine(r.labeled, r.quarantined.len());
     if !lint.is_empty() {
         eprintln!("[label] {lint}");
+    }
+    if let Some(e) = r.uninjected_crash() {
+        return Err(format!(
+            "benchmark {} crashed with no fault injected: {}",
+            e.name, e.reason
+        ));
     }
     Ok(lint.deny_count())
 }
@@ -513,6 +526,70 @@ pub fn run_label_merge(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_uninjected_crash_fails_the_run_after_writing_both_files() {
+        use loopml_corpus::SuiteConfig;
+        use loopml_lint::LintLevel;
+        use loopml_rt::{fault::site, FaultPlane};
+        let clean: Vec<_> = full_suite(&SuiteConfig {
+            min_loops: 4,
+            max_loops: 6,
+            ..SuiteConfig::default()
+        })
+        .into_iter()
+        .take(3)
+        .collect();
+        // Unpredicate benchmark 1's first latch: transform validation
+        // denies the loop, so under LintLevel::Deny labeling the
+        // benchmark panics with no fault injected.
+        let mut broken = clean.clone();
+        let (li, _) = broken[1].unrollable().next().expect("an unrollable loop");
+        let body = &mut broken[1].loops[li].body.body;
+        let latch = body.iter_mut().find(|i| i.opcode == loopml_ir::Opcode::Br);
+        latch.expect("a latch").predicate = None;
+        let cfg = LabelConfig {
+            lint: LintLevel::Deny,
+            ..LabelConfig::paper(SwpMode::Disabled)
+        };
+        let res = |faults| ResilienceConfig {
+            faults,
+            ..ResilienceConfig::default()
+        };
+
+        let dir = std::env::temp_dir().join("loopml_label_crash_unit");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let args = LabelArgs {
+            out: dir.join("labels.json"),
+            degradation: dir.join("degradation.json"),
+            ..LabelArgs::default()
+        };
+        let run = loopml::label_suite_resilient(&broken, &cfg, &res(FaultPlane::disabled()), None);
+        let err = finish_label(&run, cfg.swp, &args).expect_err("an uninjected crash fails");
+        assert!(err.contains(&broken[1].name), "{err}");
+        // Both files were written first, and the crash is on record as
+        // a benchmark quarantine with no fault site.
+        assert!(args.out.is_file());
+        let deg = Json::parse(&std::fs::read_to_string(&args.degradation).unwrap()).unwrap();
+        let q = deg
+            .get("quarantine")
+            .and_then(Json::as_arr)
+            .expect("quarantine");
+        assert_eq!(q.len(), 1, "{deg}");
+        assert_eq!(q[0].get("scope").and_then(Json::as_str), Some("benchmark"));
+        assert_eq!(q[0].get("site"), Some(&Json::Null));
+
+        // The same whole-benchmark loss, injected by the fault plane, is
+        // expected degradation and keeps the run green.
+        let plane = FaultPlane::new(0, 1.0)
+            .at_site(site::LABEL_LOOP)
+            .only_keys(vec![1]);
+        let run = loopml::label_suite_resilient(&clean, &cfg, &res(plane), None);
+        assert_eq!(run.report.quarantined.len(), 1);
+        assert_eq!(finish_label(&run, cfg.swp, &args), Ok(0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn merged_shards_are_byte_identical_to_single_process() {

@@ -200,6 +200,15 @@ pub struct DegradationReport {
 pub const DEGRADATION_SCHEMA: &str = "loopml/label-degradation/v1";
 
 impl DegradationReport {
+    /// The first benchmark crash that no fault plane injected: a bug, or
+    /// a transform-validation deny under `LintLevel::Deny`. Injected
+    /// crashes carry their fault site and are expected degradation.
+    pub fn uninjected_crash(&self) -> Option<&QuarantineEntry> {
+        self.quarantined
+            .iter()
+            .find(|e| e.scope == QuarantineScope::Benchmark && e.site.is_none())
+    }
+
     /// Quarantined share of all finished work items (labeled +
     /// quarantined). A whole-benchmark quarantine counts once.
     pub fn quarantine_rate(&self) -> f64 {

@@ -497,22 +497,20 @@ pub fn label_suite_resilient(
     }
 }
 
-/// Re-raises the first benchmark crash that no fault plane injected: a
-/// bug, or a transform-validation deny under [`LintLevel::Deny`].
+/// Re-raises the first benchmark crash that no fault plane injected
+/// ([`DegradationReport::uninjected_crash`]): a bug, or a
+/// transform-validation deny under [`LintLevel::Deny`].
 /// [`label_suite_resilient`] isolates every crash so `repro label` can
-/// account for it; in-process callers ([`label_suite`],
-/// `PipelineBuilder::build`) fail fast instead, so a miscompiled or
-/// crashing benchmark never goes silently missing from their corpus.
+/// write and account for it before failing; in-process callers
+/// ([`label_suite`], `PipelineBuilder::build`) fail fast instead, so a
+/// miscompiled or crashing benchmark never goes silently missing from
+/// their corpus.
 ///
 /// # Panics
 ///
 /// Panics with the benchmark's name and the recorded panic message.
 pub(crate) fn fail_on_crash(report: &DegradationReport) {
-    if let Some(e) = report
-        .quarantined
-        .iter()
-        .find(|e| e.scope == QuarantineScope::Benchmark && e.site.is_none())
-    {
+    if let Some(e) = report.uninjected_crash() {
         panic!("labeling {} crashed: {}", e.name, e.reason);
     }
 }

@@ -140,6 +140,80 @@ pub enum Opcode {
 }
 
 impl Opcode {
+    /// Every opcode, in declaration order.
+    pub const ALL: [Opcode; 31] = [
+        Opcode::Add,
+        Opcode::Sub,
+        Opcode::Mul,
+        Opcode::Shl,
+        Opcode::Shr,
+        Opcode::And,
+        Opcode::Or,
+        Opcode::Xor,
+        Opcode::Cmp,
+        Opcode::Ext,
+        Opcode::FAdd,
+        Opcode::FSub,
+        Opcode::FMul,
+        Opcode::Fma,
+        Opcode::FDiv,
+        Opcode::FSqrt,
+        Opcode::FCmp,
+        Opcode::CvtIf,
+        Opcode::CvtFi,
+        Opcode::Load,
+        Opcode::LoadPair,
+        Opcode::Store,
+        Opcode::StorePair,
+        Opcode::Prefetch,
+        Opcode::Br,
+        Opcode::BrExit,
+        Opcode::Call,
+        Opcode::Mov,
+        Opcode::MovI,
+        Opcode::Select,
+        Opcode::Nop,
+    ];
+
+    /// The opcode's lowercase name, as [`Display`](fmt::Display) writes
+    /// it and the serving wire codec reads it.
+    pub fn name(self) -> &'static str {
+        use Opcode::*;
+        match self {
+            Add => "add",
+            Sub => "sub",
+            Mul => "mul",
+            Shl => "shl",
+            Shr => "shr",
+            And => "and",
+            Or => "or",
+            Xor => "xor",
+            Cmp => "cmp",
+            Ext => "ext",
+            FAdd => "fadd",
+            FSub => "fsub",
+            FMul => "fmul",
+            Fma => "fma",
+            FDiv => "fdiv",
+            FSqrt => "fsqrt",
+            FCmp => "fcmp",
+            CvtIf => "cvtif",
+            CvtFi => "cvtfi",
+            Load => "load",
+            LoadPair => "loadpair",
+            Store => "store",
+            StorePair => "storepair",
+            Prefetch => "prefetch",
+            Br => "br",
+            BrExit => "brexit",
+            Call => "call",
+            Mov => "mov",
+            MovI => "movi",
+            Select => "select",
+            Nop => "nop",
+        }
+    }
+
     /// Functional class of this opcode.
     pub fn class(self) -> OpClass {
         use Opcode::*;
@@ -215,8 +289,7 @@ impl Opcode {
 
 impl fmt::Display for Opcode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = format!("{self:?}").to_lowercase();
-        f.write_str(&s)
+        f.write_str(self.name())
     }
 }
 
@@ -275,5 +348,19 @@ mod tests {
     fn display_is_lowercase() {
         assert_eq!(Opcode::FAdd.to_string(), "fadd");
         assert_eq!(OpClass::IntAlu.to_string(), "IntAlu");
+    }
+
+    #[test]
+    fn names_are_the_lowercased_variant_names() {
+        // Wire documents and saved loops name opcodes by their
+        // lowercased variant names, so the static names must be exactly
+        // those strings.
+        for op in Opcode::ALL {
+            assert_eq!(op.name(), format!("{op:?}").to_lowercase());
+            assert_eq!(op.to_string(), op.name());
+        }
+        for (i, op) in Opcode::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, i, "ALL lists each opcode once, in order");
+        }
     }
 }

@@ -91,20 +91,26 @@ pub struct KernelCache {
 }
 
 impl KernelCache {
-    /// The zero-sized cache carried by unfitted machines.
-    pub(crate) fn empty() -> Self {
-        KernelCache {
-            n: 0,
-            k: Vec::new(),
-            _alloc: KernelAlloc::new(0),
-        }
-    }
-    /// Computes the full kernel matrix over normalized rows: the pairwise
-    /// distances once, then the RBF entries via [`from_distances`].
+    /// Computes the full kernel matrix over normalized rows: each pair's
+    /// entry once, mirrored, with no intermediate distance matrix. The
+    /// entries are bit-identical to [`from_distances`] over a
+    /// [`DistanceMatrix`] of the same rows (the same `dist2` per pair,
+    /// the diagonal from a zero distance, the same `exp(-γ·d²) + 1`).
     ///
     /// [`from_distances`]: KernelCache::from_distances
     pub fn compute(xs: &[Vec<f64>], gamma: f64) -> Self {
-        Self::from_distances(&DistanceMatrix::compute(xs), gamma)
+        let n = xs.len();
+        let entry = |d2: f64| (-gamma * d2).exp() + 1.0;
+        let mut kc = Self::zeroed(n);
+        for i in 0..n {
+            kc.k[i * n + i] = entry(0.0);
+            for j in (i + 1)..n {
+                let v = entry(dist2(&xs[i], &xs[j]));
+                kc.k[i * n + j] = v;
+                kc.k[j * n + i] = v;
+            }
+        }
+        kc
     }
 
     /// Derives the RBF kernel matrix (with the +1 bias term folded in)
@@ -261,6 +267,11 @@ pub(crate) fn decision_at(kc: &KernelCache, labels: &[f64], alpha: &[f64], i: us
 
 /// A trained multi-class SVM using one-vs-rest output codes with Hamming
 /// decoding (margin tie-break), as in the paper.
+///
+/// The fitted machine keeps no kernel matrix: a query needs only its
+/// own kernel row against the support set, and
+/// [`loo_predictions`](MulticlassSvm::loo_predictions), the one reader
+/// of training-pair entries, builds the kernel it reads.
 #[derive(Debug, Clone)]
 pub struct MulticlassSvm {
     params: SvmParams,
@@ -270,27 +281,71 @@ pub struct MulticlassSvm {
     classes: usize,
     /// Per-class dual variables.
     alphas: Vec<Vec<f64>>,
-    kernel: KernelCache,
+    /// Training examples with a nonzero dual variable in some class, in
+    /// index order: the rows a query's kernel row is computed against.
+    support: Vec<usize>,
+    /// Per class, `(p, α_j·y_j)` for each of its support vectors
+    /// `j = support[p]`, in index order.
+    machines: Vec<Vec<(usize, f64)>>,
 }
 
 impl MulticlassSvm {
     /// An *unfitted* machine carrying only its hyperparameters; call
     /// [`Classifier::fit`] before use. Until then it predicts class 0.
     pub fn new(params: SvmParams) -> Self {
+        Self::assemble(
+            params,
+            MinMaxNormalizer::identity(),
+            Vec::new(),
+            Vec::new(),
+            0,
+            Vec::new(),
+        )
+    }
+
+    /// A machine from its stored state, with the decision path's support
+    /// set and per-class `(p, α·y)` lists derived once. `y_j` is exactly
+    /// ±1.0, so `α_j·y_j` is exact, and the sums in
+    /// [`decision_values`](MulticlassSvm::decision_values) are the float
+    /// operations of `Σ α_j·y_j·k_j` over every training row.
+    fn assemble(
+        params: SvmParams,
+        normalizer: MinMaxNormalizer,
+        xs: Vec<Vec<f64>>,
+        ys: Vec<usize>,
+        classes: usize,
+        alphas: Vec<Vec<f64>>,
+    ) -> Self {
+        let support: Vec<usize> = (0..xs.len())
+            .filter(|&j| alphas.iter().any(|a| a[j] != 0.0))
+            .collect();
+        let machines = alphas
+            .iter()
+            .enumerate()
+            .map(|(c, a)| {
+                support
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &j)| a[j] != 0.0)
+                    .map(|(p, &j)| (p, a[j] * if ys[j] == c { 1.0 } else { -1.0 }))
+                    .collect()
+            })
+            .collect();
         MulticlassSvm {
             params,
-            normalizer: MinMaxNormalizer::identity(),
-            xs: Vec::new(),
-            ys: Vec::new(),
-            classes: 0,
-            alphas: Vec::new(),
-            kernel: KernelCache::empty(),
+            normalizer,
+            xs,
+            ys,
+            classes,
+            alphas,
+            support,
+            machines,
         }
     }
 
     /// Trains one binary machine per class (one-vs-rest). The per-class
     /// trainers are independent and run in parallel, bit-identical to a
-    /// serial fit.
+    /// serial fit. They share one n×n kernel, dropped once they finish.
     ///
     /// # Panics
     ///
@@ -323,18 +378,14 @@ impl MulticlassSvm {
                 None,
             )
         });
-        MulticlassSvm {
-            params,
-            normalizer,
-            xs,
-            ys: data.y.clone(),
-            classes: data.classes,
-            alphas,
-            kernel,
-        }
+        drop(kernel);
+        Self::assemble(params, normalizer, xs, data.y.clone(), data.classes, alphas)
     }
 
-    /// Per-class decision values for a raw feature vector.
+    /// Per-class decision values for a raw feature vector: one kernel row
+    /// against the support set, then each class's `Σ α_j·y_j·k_j` in
+    /// index order. Both [`predict`](MulticlassSvm::predict) and the
+    /// batch path answer through here.
     ///
     /// # Panics
     ///
@@ -354,22 +405,13 @@ impl MulticlassSvm {
         let mut q = x.to_vec();
         self.normalizer.apply(&mut q);
         let krow: Vec<f64> = self
-            .xs
+            .support
             .iter()
-            .map(|xi| (-self.params.gamma * dist2(&q, xi)).exp() + 1.0)
+            .map(|&j| (-self.params.gamma * dist2(&q, &self.xs[j])).exp() + 1.0)
             .collect();
-        (0..self.classes)
-            .map(|c| {
-                self.alphas[c]
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| **a != 0.0)
-                    .map(|(j, a)| {
-                        let yj = if self.ys[j] == c { 1.0 } else { -1.0 };
-                        a * yj * krow[j]
-                    })
-                    .sum()
-            })
+        self.machines
+            .iter()
+            .map(|m| m.iter().map(|&(p, w)| w * krow[p]).sum())
             .collect()
     }
 
@@ -384,7 +426,9 @@ impl MulticlassSvm {
     /// reused as-is (removal provably does not change them); the rest are
     /// re-converged from a warm start with the example frozen out. The
     /// per-example folds only read the trained machine, so they run in
-    /// parallel, bit-identical to a serial pass.
+    /// parallel, bit-identical to a serial pass. Builds the n×n kernel
+    /// the folds read, the same one [`fit`](MulticlassSvm::fit) trained
+    /// on, and drops it on return.
     pub fn loo_predictions(&self) -> Vec<usize> {
         self.loo_predictions_threads(num_threads())
     }
@@ -394,6 +438,7 @@ impl MulticlassSvm {
     /// serial vs. multi-threaded execution).
     pub fn loo_predictions_threads(&self, threads: usize) -> Vec<usize> {
         let n = self.xs.len();
+        let kernel = KernelCache::compute(&self.xs, self.params.gamma);
         // Per-class machinery computed once: one-vs-rest labels and the
         // support-vector active sets used for warm-start re-convergence.
         let labels_by_class: Vec<Vec<f64>> = (0..self.classes)
@@ -418,10 +463,10 @@ impl MulticlassSvm {
                 let d = if self.alphas[c][i] == 0.0 {
                     // Removing a non-support vector provably leaves the
                     // solution unchanged: reuse the trained machine.
-                    decision_at(&self.kernel, labels, &self.alphas[c], i)
+                    decision_at(&kernel, labels, &self.alphas[c], i)
                 } else {
                     let alpha = train_binary(
-                        &self.kernel,
+                        &kernel,
                         labels,
                         &self.params,
                         Some(&self.alphas[c]),
@@ -429,7 +474,7 @@ impl MulticlassSvm {
                         self.params.loo_sweeps,
                         Some(&active_by_class[c]),
                     );
-                    decision_at(&self.kernel, labels, &alpha, i)
+                    decision_at(&kernel, labels, &alpha, i)
                 };
                 decisions.push(d);
             }
@@ -452,7 +497,7 @@ impl Classifier for MulticlassSvm {
     }
 
     fn predict(&self, x: &[f64]) -> usize {
-        decode(&self.decision_values(x))
+        MulticlassSvm::predict(self, x)
     }
 
     fn name(&self) -> &str {
@@ -528,64 +573,12 @@ impl Classifier for MulticlassSvm {
         if alphas.len() != classes || alphas.iter().any(|a| a.len() != xs.len()) {
             return Err("SVM state alphas do not match classes x examples".into());
         }
-        // The kernel matrix is derived state: recompute it from the
-        // stored (already normalized) rows, exactly as fit would.
-        let kernel = if xs.is_empty() {
-            KernelCache::empty()
-        } else {
-            KernelCache::compute(&xs, params.gamma)
-        };
-        *self = MulticlassSvm {
-            params,
-            normalizer,
-            xs,
-            ys,
-            classes,
-            alphas,
-            kernel,
-        };
+        *self = MulticlassSvm::assemble(params, normalizer, xs, ys, classes, alphas);
         Ok(())
     }
 
     fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<usize> {
-        // Per-class support-vector lists precomputed once for the whole
-        // batch: `(j, alpha_j * y_j)` pairs in index order. `y_j` is
-        // exactly ±1.0 and `a * yj * krow[j]` associates left, so
-        // `(a * yj) * krow[j]` below is the same float operation sequence
-        // as decision_values — bit-identical, just amortized.
-        let machines: Vec<Vec<(usize, f64)>> = (0..self.classes)
-            .map(|c| {
-                self.alphas[c]
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| **a != 0.0)
-                    .map(|(j, a)| (j, a * if self.ys[j] == c { 1.0 } else { -1.0 }))
-                    .collect()
-            })
-            .collect();
-        par_map(xs, |x| {
-            if let Some(xi) = self.xs.first() {
-                assert_eq!(
-                    x.len(),
-                    xi.len(),
-                    "SVM fitted on {} features cannot score a {}-feature query",
-                    xi.len(),
-                    x.len()
-                );
-            }
-            let mut q = x.clone();
-            self.normalizer.apply(&mut q);
-            let krow: Vec<f64> = self
-                .xs
-                .iter()
-                .map(|xi| (-self.params.gamma * dist2(&q, xi)).exp() + 1.0)
-                .collect();
-            let decisions: Vec<f64> = machines
-                .iter()
-                .map(|m| m.iter().map(|&(j, w)| w * krow[j]).sum())
-                .collect();
-            decode(&decisions)
-        })
+        par_map(xs, |x| MulticlassSvm::predict(self, x))
     }
 }
 
@@ -743,18 +736,63 @@ mod tests {
     }
 
     #[test]
-    fn loaded_svm_is_bit_identical_including_recomputed_kernel() {
+    fn support_set_decisions_match_the_sum_over_every_row() {
+        // The decision path sums over the support set only; the
+        // reference sums `α_j·y_j·k_j` over every training row with a
+        // nonzero α. The terms and their order are the same, so the
+        // values must be equal bit for bit.
+        let d = clusters();
+        let svm = MulticlassSvm::fit(&d, SvmParams::default());
+        assert!(
+            svm.support.len() < d.len(),
+            "some example must be outside the support set"
+        );
+        let reference = |x: &[f64]| -> Vec<f64> {
+            let mut q = x.to_vec();
+            svm.normalizer.apply(&mut q);
+            let krow: Vec<f64> = svm
+                .xs
+                .iter()
+                .map(|xi| (-svm.params.gamma * dist2(&q, xi)).exp() + 1.0)
+                .collect();
+            (0..svm.classes)
+                .map(|c| {
+                    svm.alphas[c]
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, a)| **a != 0.0)
+                        .map(|(j, a)| {
+                            let yj = if svm.ys[j] == c { 1.0 } else { -1.0 };
+                            a * yj * krow[j]
+                        })
+                        .sum()
+                })
+                .collect()
+        };
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let mut queries = d.x.clone();
+        queries.extend([vec![0.4, 0.4], vec![5.0, 5.0], vec![-3.0, 12.0]]);
+        for q in &queries {
+            assert_eq!(bits(svm.decision_values(q)), bits(reference(q)), "{q:?}");
+        }
+        let one_by_one: Vec<usize> = queries.iter().map(|q| svm.predict(q)).collect();
+        assert_eq!(Classifier::predict_batch(&svm, &queries), one_by_one);
+    }
+
+    #[test]
+    fn loaded_svm_is_bit_identical() {
         let d = clusters();
         let svm = MulticlassSvm::fit(&d, SvmParams::default());
         let state = Json::parse(&Classifier::save(&svm).to_string()).unwrap();
         let mut copy = MulticlassSvm::new(SvmParams::default());
         Classifier::load(&mut copy, &state).expect("load");
         assert_eq!(svm.alphas, copy.alphas);
-        assert_eq!(svm.kernel.k, copy.kernel.k, "kernel recompute diverged");
+        assert_eq!(svm.support, copy.support);
+        assert_eq!(svm.machines, copy.machines);
         for xi in &d.x {
             assert_eq!(svm.decision_values(xi), copy.decision_values(xi));
         }
-        // The recomputed kernel also drives LOO identically.
+        // The kernel LOO builds from the loaded rows drives it identically.
         assert_eq!(
             svm.loo_predictions_threads(1),
             copy.loo_predictions_threads(1)

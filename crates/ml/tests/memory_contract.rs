@@ -1,15 +1,21 @@
 //! The memory contract of the pairwise-distance and kernel paths.
 //!
-//! Lives in its own integration-test binary with a single test on
-//! purpose: the `LOOPML_TILE_BYTES` budget and the peak-byte counters
-//! are process-global, so no other test may run beside it.
+//! Lives in its own integration-test binary on purpose: the
+//! `LOOPML_TILE_BYTES` budget and the peak-byte counters are
+//! process-global, so no test outside this file may run beside these,
+//! and these take [`COUNTERS`] so they never run beside each other.
+
+use std::sync::Mutex;
 
 use loopml_ml::{
     greedy_forward_nn_threads, peak_distance_bytes, peak_kernel_bytes, reset_distance_bytes,
-    reset_kernel_bytes, sweep_threads, Dataset, ForestGrid, MlpGrid, SvmGrid, SvmParams,
-    SweepConfig, TreeGrid,
+    reset_kernel_bytes, sweep_threads, Classifier, Dataset, ForestGrid, MlpGrid, MulticlassSvm,
+    SvmGrid, SvmParams, SweepConfig, TreeGrid,
 };
-use loopml_rt::Rng;
+use loopml_rt::{Json, Rng};
+
+/// Serializes the tests that reset and read the peak-byte counters.
+static COUNTERS: Mutex<()> = Mutex::new(());
 
 /// `n` examples over 6 features in 3 classes, spread over 6 groups.
 fn dataset(n: usize) -> (Dataset, Vec<usize>) {
@@ -30,6 +36,7 @@ fn dataset(n: usize) -> (Dataset, Vec<usize>) {
 
 #[test]
 fn distances_stay_in_budget_and_kernels_at_one_per_gamma() {
+    let _guard = COUNTERS.lock().unwrap();
     let n = 300;
     let threads = 2;
     let (data, group) = dataset(n);
@@ -89,4 +96,43 @@ fn distances_stay_in_budget_and_kernels_at_one_per_gamma() {
         "sweep kernel peak {kernel_peak} exceeds G × dense = {}",
         2 * dense
     );
+}
+
+#[test]
+fn svm_fit_holds_one_kernel_and_load_builds_none() {
+    let _guard = COUNTERS.lock().unwrap();
+    let n = 200;
+    let (data, _) = dataset(n);
+    let dense = (n * n * 8) as u64;
+    let params = SvmParams {
+        max_sweeps: 5,
+        ..SvmParams::default()
+    };
+
+    // Fitting builds its n×n kernel directly, with no distance matrix.
+    reset_distance_bytes();
+    reset_kernel_bytes();
+    let first = MulticlassSvm::fit(&data, params);
+    assert_eq!(peak_kernel_bytes(), dense, "fit holds one n×n kernel");
+    assert_eq!(peak_distance_bytes(), 0, "fit builds no distance buffer");
+
+    // The fitted machine keeps no kernel: a second fit while the first
+    // machine is alive still peaks at one kernel.
+    let _second = MulticlassSvm::fit(&data, params);
+    assert_eq!(
+        peak_kernel_bytes(),
+        dense,
+        "a fitted machine keeps no kernel"
+    );
+
+    // Loading a saved machine builds no kernel at all, and the loaded
+    // machine answers like the one that was saved.
+    let state = Json::parse(&first.save().to_string()).expect("saved state parses");
+    reset_distance_bytes();
+    reset_kernel_bytes();
+    let mut loaded = MulticlassSvm::new(params);
+    loaded.load(&state).expect("saved state loads");
+    assert_eq!(peak_kernel_bytes(), 0, "load registers no kernel bytes");
+    assert_eq!(peak_distance_bytes(), 0, "load registers no distance bytes");
+    assert_eq!(loaded.predict_batch(&data.x), first.predict_batch(&data.x));
 }

@@ -6,7 +6,10 @@
 //! `SWEEP_ml.json` in CI. The parser accepts standard JSON
 //! (objects, arrays, strings with the common escapes, numbers, booleans,
 //! null); it does not preserve key order duplicates or parse `\u` escapes
-//! beyond the basic multilingual plane.
+//! beyond the basic multilingual plane. Parsing is linear in the
+//! document: each string is copied run by run between its escapes, so
+//! a serving daemon's request lines cost time in proportion to their
+//! length.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -226,13 +229,22 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next `"` or `\` in one step. Both are
+        // ASCII, so the run ends on a character boundary and only its
+        // own bytes are validated: parsing stays linear in the document.
+        let start = *pos;
+        while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+            *pos += 1;
+        }
+        out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|_| "invalid UTF-8")?);
         match b.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The run stopped at a `\`: decode one escape.
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -258,14 +270,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     _ => return Err(format!("bad escape at byte {}", *pos)),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Advance one UTF-8 scalar (multibyte sequences pass
-                // through unchanged).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let c = rest.chars().next().expect("nonempty");
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -378,7 +382,24 @@ mod tests {
         assert!(err.contains("nesting"), "{err}");
     }
 
-    /// A small random JSON value for the mutation property below.
+    /// A random string character: printable ASCII, a control character,
+    /// a quote or backslash (the escaped bytes), or a 2-, 3- or 4-byte
+    /// UTF-8 scalar.
+    fn random_char(rng: &mut crate::Rng) -> char {
+        let scalar = |rng: &mut crate::Rng, lo: u32, hi: u32| {
+            char::from_u32(rng.gen_range(lo..hi)).expect("range holds no surrogate")
+        };
+        match rng.gen_range(0..6u32) {
+            0 => char::from(rng.gen_range(0..0x20u8)),
+            1 => ['"', '\\'][rng.gen_range(0..2usize)],
+            2 => scalar(rng, 0x80, 0x800),
+            3 => scalar(rng, 0x800, 0xD800),
+            4 => scalar(rng, 0x10000, 0x110000),
+            _ => char::from(rng.gen_range(b' '..=b'~')),
+        }
+    }
+
+    /// A small random JSON value for the properties below.
     fn random_json(rng: &mut crate::Rng, depth: usize) -> Json {
         let choices = if depth >= 3 { 4 } else { 6 };
         match rng.gen_range(0..choices) {
@@ -387,11 +408,7 @@ mod tests {
             2 => Json::Num(rng.gen_range(-1.0e6..1.0e6)),
             3 => {
                 let len = rng.gen_range(0..8usize);
-                Json::Str(
-                    (0..len)
-                        .map(|_| char::from(rng.gen_range(b' '..=b'~')))
-                        .collect(),
-                )
+                Json::Str((0..len).map(|_| random_char(rng)).collect())
             }
             4 => Json::Arr(
                 (0..rng.gen_range(0..4usize))
@@ -404,6 +421,16 @@ mod tests {
                     .collect(),
             ),
         }
+    }
+
+    #[test]
+    fn serialized_values_parse_back_equal() {
+        // Every escape the writer emits, and every multibyte character
+        // it passes through raw, must read back as the same value.
+        crate::check("json_display_parse_round_trip", 400, |rng| {
+            let v = random_json(rng, 0);
+            assert_eq!(Json::parse(&v.to_string()), Ok(v));
+        });
     }
 
     #[test]

@@ -110,48 +110,14 @@ impl ServeLimits {
     }
 }
 
-/// Every opcode with its wire name (the lowercase [`Opcode`] display
-/// form), in declaration order. The table is the parse side of the
-/// codec; the emit side is `Display` itself, so the two cannot drift.
-const OPCODES: [Opcode; 31] = [
-    Opcode::Add,
-    Opcode::Sub,
-    Opcode::Mul,
-    Opcode::Shl,
-    Opcode::Shr,
-    Opcode::And,
-    Opcode::Or,
-    Opcode::Xor,
-    Opcode::Cmp,
-    Opcode::Ext,
-    Opcode::FAdd,
-    Opcode::FSub,
-    Opcode::FMul,
-    Opcode::Fma,
-    Opcode::FDiv,
-    Opcode::FSqrt,
-    Opcode::FCmp,
-    Opcode::CvtIf,
-    Opcode::CvtFi,
-    Opcode::Load,
-    Opcode::LoadPair,
-    Opcode::Store,
-    Opcode::StorePair,
-    Opcode::Prefetch,
-    Opcode::Br,
-    Opcode::BrExit,
-    Opcode::Call,
-    Opcode::Mov,
-    Opcode::MovI,
-    Opcode::Select,
-    Opcode::Nop,
-];
-
+/// The opcode whose wire name is `s`. The parse side compares against
+/// [`Opcode::name`] and the emit side is `Display`, which writes that
+/// same static name, so the two cannot drift and decoding allocates
+/// nothing per candidate.
 fn opcode_from_str(s: &str) -> Result<Opcode, String> {
-    OPCODES
-        .iter()
-        .copied()
-        .find(|op| op.to_string() == s)
+    Opcode::ALL
+        .into_iter()
+        .find(|op| op.name() == s)
         .ok_or_else(|| format!("unknown opcode {s:?}"))
 }
 
@@ -698,8 +664,11 @@ mod tests {
 
     #[test]
     fn every_opcode_round_trips() {
-        for op in OPCODES {
+        for op in Opcode::ALL {
             assert_eq!(opcode_from_str(&op.to_string()), Ok(op));
+            // The wire name is still the lowercased variant name earlier
+            // versions formatted, so their request streams decode.
+            assert_eq!(opcode_from_str(&format!("{op:?}").to_lowercase()), Ok(op));
         }
         assert!(opcode_from_str("teleport").is_err());
     }

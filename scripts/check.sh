@@ -12,7 +12,7 @@
 # families, and crown a cross-family winner), the serve gate (a
 # smoke-trained artifact served through the `loopml-serve` daemon must
 # answer replayed batches byte-identically to the in-process heuristic,
-# repeated for each tree/forest/MLP zoo artifact),
+# repeated for the paper's SVM and each tree/forest/MLP zoo artifact),
 # and the chaos gate (a fixed-seed LOOPML_FAULTS labeling run must
 # complete with the expected quarantine, keep every non-faulted label
 # bit-identical to a clean run, and resume from partial checkpoints
@@ -79,11 +79,11 @@ cargo run --release -q -p loopml-serve --bin loopml-serve -- \
     < "$serve_dir/requests.jsonl" > "$serve_dir/daemon.jsonl"
 cmp "$serve_dir/responses.jsonl" "$serve_dir/daemon.jsonl"
 
-# Zoo serve gate: every new model family must survive the same
-# round trip — train an artifact, replay the suite through the
+# Zoo serve gate: the paper's SVM and every zoo family must survive
+# the same round trip — train an artifact, replay the suite through the
 # in-process serving loop, and demand the daemon answer the identical
 # requests byte-for-byte.
-for model in tree forest mlp; do
+for model in svm tree forest mlp; do
     echo "check.sh: zoo serve gate ($model artifact / daemon diff)"
     cargo run --release -q -p loopml-bench --bin repro -- train --smoke \
         --model "$model" --out "$serve_dir/$model.json"
