@@ -16,11 +16,12 @@
 //! repro help                         generated overview
 //! ```
 //!
-//! Every subcommand accepts `--quick`, `--smoke`, `--corpus-scale S`,
-//! `--threads N` and `--help` with identical meaning (see [`loopml_bench::cli`]), and
+//! Every subcommand accepts `--quick`, `--smoke`, `--corpus-scale S`
+//! and `--help` with identical meaning (see [`loopml_bench::cli`]), and
 //! exits 0 on success, 1 when the work failed, 2 on a usage error.
-//! Report targets: `all`, `table1`..`table4`, `fig1`..`fig5`, `lint`
-//! (reachable as `repro --lint` or `repro report lint`; the bare
+//! `LOOPML_THREADS` sets the worker count; outputs are bit-identical
+//! at any count. Report targets: `all`, `table1`..`table4`,
+//! `fig1`..`fig5`, `lint` (reachable as `repro report lint`; the bare
 //! `repro lint` is the prover scan above), `ablate-norm`,
 //! `ablate-radius`, `ablate-features`, `ablate-filter`.
 
@@ -55,11 +56,7 @@ const REPORT_SPEC: Spec = Spec {
     name: "report",
     summary: "render the paper's tables, figures and ablations (default subcommand)",
     positionals: "[target...]",
-    flags: &[FlagSpec {
-        flag: "--lint",
-        value: None,
-        help: "add the lint target",
-    }],
+    flags: &[],
 };
 
 const LINT_SPEC: Spec = Spec {
@@ -301,8 +298,8 @@ fn run(args: &[String]) -> i32 {
     }
 }
 
-/// Parses against `spec`, handles `--help`/`--threads`, and routes
-/// usage errors to the uniform exit code.
+/// Parses against `spec`, handles `--help`, and routes usage errors to
+/// the uniform exit code.
 fn dispatch(spec: &Spec, args: &[String], cmd: fn(&Parsed) -> i32) -> i32 {
     let parsed = match cli::parse(spec, args) {
         Ok(p) => p,
@@ -316,7 +313,6 @@ fn dispatch(spec: &Spec, args: &[String], cmd: fn(&Parsed) -> i32) -> i32 {
         print!("{}", spec.help());
         return EXIT_OK;
     }
-    parsed.apply_threads();
     cmd(&parsed)
 }
 
@@ -602,10 +598,7 @@ fn cmd_serve_bench(p: &Parsed) -> i32 {
 }
 
 fn cmd_report(p: &Parsed) -> i32 {
-    let mut targets: Vec<&str> = p.positionals.iter().map(String::as_str).collect();
-    if p.has("--lint") && !targets.contains(&"lint") {
-        targets.push("lint");
-    }
+    let targets: Vec<&str> = p.positionals.iter().map(String::as_str).collect();
     let targets: Vec<&str> = if targets.is_empty() || targets.contains(&"all") {
         ALL_TARGETS.to_vec()
     } else {

@@ -7,10 +7,11 @@
 //!
 //! * `--quick` — reduced corpus scale ([`Scale::Quick`]);
 //! * `--smoke` — smallest CI scale (quick corpus, first 8 benchmarks);
-//! * `--threads N` — worker-thread override (sets `LOOPML_THREADS`;
-//!   every pipeline output is bit-identical at any thread count, so
-//!   this only changes wall time);
+//! * `--corpus-scale S` — corpus size multiplier;
 //! * `--help` — generated usage for the subcommand.
+//!
+//! The worker-thread count comes from `LOOPML_THREADS`; every pipeline
+//! output is bit-identical at any thread count.
 //!
 //! Exit codes are uniform: [`EXIT_OK`] on success, [`EXIT_FAIL`] when
 //! the work itself failed (a gate tripped, a file was malformed),
@@ -86,12 +87,12 @@ pub struct Spec {
     /// Rendered positional signature (`"<current.json> <baseline.json>"`,
     /// `"[target...]"`, or `""` when the subcommand takes none).
     pub positionals: &'static str,
-    /// Flags beyond the shared `--quick`/`--smoke`/`--threads`/`--help`.
+    /// Flags beyond the shared `--quick`/`--corpus-scale`/`--smoke`/`--help`.
     pub flags: &'static [FlagSpec],
 }
 
 /// The flags every subcommand accepts.
-const SHARED_FLAGS: [FlagSpec; 5] = [
+const SHARED_FLAGS: [FlagSpec; 4] = [
     FlagSpec {
         flag: "--quick",
         value: None,
@@ -106,11 +107,6 @@ const SHARED_FLAGS: [FlagSpec; 5] = [
         flag: "--smoke",
         value: None,
         help: "smallest CI scale (quick corpus, first 8 benchmarks)",
-    },
-    FlagSpec {
-        flag: "--threads",
-        value: Some("N"),
-        help: "worker threads (sets LOOPML_THREADS; outputs are bit-identical)",
     },
     FlagSpec {
         flag: "--help",
@@ -131,8 +127,6 @@ pub struct Parsed {
     /// 1 reproduces the historical corpus bit-for-bit, larger scales
     /// append extra loops per benchmark on an independent RNG stream).
     pub corpus_scale: usize,
-    /// Worker-thread override from `--threads N`.
-    pub threads: Option<usize>,
     /// Whether `--help` was requested.
     pub help: bool,
     /// Values of the subcommand's value-taking flags, keyed by flag.
@@ -153,16 +147,6 @@ impl Parsed {
     pub fn option(&self, flag: &str) -> Option<&str> {
         self.options.get(flag).map(String::as_str)
     }
-
-    /// Applies `--threads N` by exporting `LOOPML_THREADS` for the rest
-    /// of the process. Safe to call unconditionally: a no-op when the
-    /// flag was absent, and every pipeline output is bit-identical at
-    /// any thread count.
-    pub fn apply_threads(&self) {
-        if let Some(n) = self.threads {
-            std::env::set_var("LOOPML_THREADS", n.to_string());
-        }
-    }
 }
 
 /// Parses `args` (everything after the subcommand name) against `spec`.
@@ -174,7 +158,6 @@ pub fn parse(spec: &Spec, args: &[String]) -> Result<Parsed, String> {
         scale: Scale::Full,
         smoke: false,
         corpus_scale: 1,
-        threads: None,
         help: false,
         options: BTreeMap::new(),
         switches: Vec::new(),
@@ -198,14 +181,6 @@ pub fn parse(spec: &Spec, args: &[String]) -> Result<Parsed, String> {
                     return Err("--corpus-scale must be at least 1".into());
                 }
                 out.corpus_scale = s;
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --threads value: {v}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                out.threads = Some(n);
             }
             other if other.starts_with('-') => {
                 let Some(f) = spec.flags.iter().find(|f| f.flag == other) else {
@@ -317,10 +292,9 @@ mod tests {
 
     #[test]
     fn shared_flags_parse_uniformly() {
-        let p = parse(&SPEC, &strs(&["--smoke", "--threads", "3", "t1", "t2"])).unwrap();
+        let p = parse(&SPEC, &strs(&["--smoke", "t1", "t2"])).unwrap();
         assert_eq!(p.scale, Scale::Quick);
         assert!(p.smoke);
-        assert_eq!(p.threads, Some(3));
         assert_eq!(p.positionals, ["t1", "t2"]);
 
         let p = parse(&SPEC, &strs(&["--quick"])).unwrap();
@@ -350,9 +324,6 @@ mod tests {
         assert!(err.contains("unknown demo option"), "{err}");
         let err = parse(&SPEC, &strs(&["--out"])).unwrap_err();
         assert!(err.contains("needs a value"), "{err}");
-        let err = parse(&SPEC, &strs(&["--threads", "zero"])).unwrap_err();
-        assert!(err.contains("bad --threads"), "{err}");
-        assert!(parse(&SPEC, &strs(&["--threads", "0"])).is_err());
     }
 
     #[test]
@@ -363,7 +334,7 @@ mod tests {
             "--out FILE",
             "--resume",
             "--smoke",
-            "--threads N",
+            "--corpus-scale S",
         ] {
             assert!(help.contains(needle), "missing {needle:?} in:\n{help}");
         }

@@ -1,15 +1,16 @@
 //! `repro lint` — corpus-wide legality-prover scan with coverage stats
 //! and the prover/oracle cross-check gate.
 //!
-//! Runs the full unroll-and-optimize validation pipeline (verifier,
-//! structural checks, legality prover, gated differential oracle) over
-//! every loop of the corpus at factors `1..=8`, aggregates per-verdict
-//! [`LegalityStats`], and enforces the CI gate: **zero prover/oracle
-//! disagreements** and **≥ [`COVERAGE_GATE`] of the affine corpus
-//! resolved statically**. The scan is parallel over benchmarks but
-//! folds results in benchmark order, and the cross-check sample is a
-//! pure hash of (loop name, factor), so stats and JSON are bit-identical
-//! at any `LOOPML_THREADS`.
+//! Verifies the IR of every loop of the corpus, runs the full
+//! unroll-and-optimize validation pipeline (verifier, structural
+//! checks, legality prover, gated differential oracle) over every
+//! unrollable loop at factors `1..=8`, aggregates per-verdict
+//! [`LegalityStats`], and enforces the CI gate: **zero denies**, **zero
+//! prover/oracle disagreements** and **≥ [`COVERAGE_GATE`] of the
+//! affine corpus resolved statically**. The scan is parallel over
+//! benchmarks but folds results in benchmark order, and the cross-check
+//! sample is a pure hash of (loop name, factor), so stats and JSON are
+//! bit-identical at any `LOOPML_THREADS`.
 
 use loopml_corpus::full_suite;
 use loopml_ir::Benchmark;
@@ -102,7 +103,9 @@ impl LintScan {
 }
 
 /// Scans `suite` at factors `1..=max_factor` under `mode`, folding
-/// per-benchmark results in suite order (thread-count invariant).
+/// per-benchmark results in suite order (thread-count invariant). Loops
+/// that are not unrollable are only verified: the pipeline validation
+/// verifies the others itself.
 pub fn scan_suite(suite: &[Benchmark], max_factor: u32, mode: OracleMode) -> LintScan {
     scan_suite_threads(suite, max_factor, mode, loopml_rt::num_threads())
 }
@@ -120,7 +123,13 @@ pub fn scan_suite_threads(
         let mut stats = LegalityStats::default();
         let mut report = Report::with_env_suppressions();
         let mut indirect = 0usize;
-        for (i, w) in b.unrollable() {
+        for (i, w) in b.loops.iter().enumerate() {
+            if !w.body.is_unrollable() {
+                let mut vr = loopml_lint::verify_loop(&w.body);
+                vr.relocate(|loc| format!("{}/loop{i}/{loc}", b.name));
+                report.merge(vr);
+                continue;
+            }
             if legality::has_indirect(&w.body) {
                 indirect += 1;
             }
@@ -201,6 +210,29 @@ mod tests {
                 .report
                 .has_rule(loopml_lint::rules::XF_INDIRECT_UNVERIFIED));
         }
+    }
+
+    #[test]
+    fn a_malformed_non_unrollable_loop_fails_the_gate() {
+        use loopml_ir::{LoopBuilder, Opcode, TripCount, WeightedLoop};
+        let mut suite = small_suite();
+        // The call keeps the loop out of unrolling; the unpredicated
+        // latch breaks the single-latch invariant the verifier denies.
+        let mut lb = LoopBuilder::new("lint/broken-call", TripCount::Known(64));
+        lb.call();
+        let mut body = lb.build();
+        let latch = body.body.iter_mut().find(|i| i.opcode == Opcode::Br);
+        latch.expect("a latch").predicate = None;
+        assert!(!body.is_unrollable());
+        suite[0].loops.push(WeightedLoop {
+            body,
+            weight: 1.0,
+            entries: 1,
+        });
+        let scan = scan_suite(&suite, 2, OracleMode::ProverGated);
+        assert!(scan.report.has_rule(loopml_lint::rules::IR_CFG));
+        assert!(scan.report.deny_count() > 0);
+        assert!(scan.gate().is_err());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use std::path::PathBuf;
 
-use loopml::{LearnedHeuristic, ModelArtifact, Pipeline, PipelineConfig, UnrollHeuristic};
+use loopml::{LearnedHeuristic, ModelArtifact, Pipeline, UnrollHeuristic};
 use loopml_ir::Loop;
 use loopml_ml::{
     BaggedForest, Classifier, DecisionTree, Mlp, MulticlassSvm, NearNeighbors, SweepConfig,
@@ -51,10 +51,7 @@ pub fn pipeline_for(scale: Scale, corpus_scale: usize, smoke: bool, tune: bool) 
         b = b.take_benchmarks(8);
     }
     if tune {
-        b = b.configure(PipelineConfig {
-            tune: Some(SweepConfig::default()),
-            ..PipelineConfig::default()
-        });
+        b = b.tune(SweepConfig::default());
     }
     b.build()
 }

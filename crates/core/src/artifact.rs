@@ -34,6 +34,7 @@ use loopml_ml::{
 };
 use loopml_rt::{fault_key, Json};
 
+use crate::features::NUM_FEATURES;
 use crate::heuristics::{LearnedHeuristic, OrcClassifier};
 
 /// Schema tag stamped into every model artifact file.
@@ -231,8 +232,17 @@ impl ModelArtifact {
     /// Reconstructs the deployable heuristic: an unfitted classifier of
     /// the recorded kind, loaded with the saved state, behind the saved
     /// feature projection. Predicts bit-identically to the heuristic the
-    /// artifact was trained from.
+    /// artifact was trained from. A projection column outside the 38
+    /// features is an error naming the column: such a model could only
+    /// panic at its first query.
     pub fn to_heuristic(&self) -> Result<LearnedHeuristic, String> {
+        let cols = self.feature_subset.as_deref().unwrap_or(&[]);
+        if let Some(c) = cols.iter().find(|&&c| c >= NUM_FEATURES) {
+            return Err(format!(
+                "artifact feature_subset index {c} is out of range: \
+                 loops have {NUM_FEATURES} features"
+            ));
+        }
         let mut classifier = classifier_for_kind(self.kind())?;
         classifier.load(&self.state)?;
         Ok(LearnedHeuristic::new(

@@ -38,28 +38,6 @@ use crate::label::{
 };
 use crate::pipeline::{benchmark_groups, informative_features, to_dataset};
 
-/// Typed run configuration for [`PipelineBuilder`], consumed once at
-/// [`build`](PipelineBuilder::build).
-///
-/// The default is the paper's run: no tuning and the paper's 38
-/// features.
-#[derive(Debug, Clone, Default)]
-pub struct PipelineConfig {
-    /// Run this LOGO sweep during `build` (see [`loopml_ml::sweep`]);
-    /// [`Pipeline::svm_params`], [`Pipeline::nn_radius`],
-    /// [`Pipeline::tree_params`], [`Pipeline::forest_params`] and
-    /// [`Pipeline::mlp_params`] then return each swept family's winner.
-    /// A family whose grid is empty is not swept and keeps its defaults.
-    pub tune: Option<SweepConfig>,
-    /// Append the legality prover's feature block (alias-class counts,
-    /// min proven dependence distance, proof status) to every example,
-    /// widening the dataset from 38 to 38 + [`NUM_PROVER_FEATURES`]
-    /// columns. Off by default: the paper's experiments use its 38.
-    ///
-    /// [`NUM_PROVER_FEATURES`]: crate::features::NUM_PROVER_FEATURES
-    pub prover_features: bool,
-}
-
 /// Builds a [`Pipeline`] from the paper's defaults, with every stage
 /// overridable.
 #[derive(Debug, Clone)]
@@ -71,7 +49,7 @@ pub struct PipelineBuilder {
     feature_count: Option<usize>,
     suite: Option<Vec<Benchmark>>,
     take: Option<usize>,
-    config: PipelineConfig,
+    tune: Option<SweepConfig>,
 }
 
 impl Default for PipelineBuilder {
@@ -94,14 +72,18 @@ impl PipelineBuilder {
             feature_count: Some(5),
             suite: None,
             take: None,
-            config: PipelineConfig::default(),
+            tune: None,
         }
     }
 
-    /// Sets the whole run policy in one place (tuning, prover
-    /// features). Replaces any previously set configuration.
-    pub fn configure(mut self, config: PipelineConfig) -> Self {
-        self.config = config;
+    /// Runs this LOGO sweep during [`build`](Self::build) (see
+    /// [`loopml_ml::sweep`]); [`Pipeline::svm_params`],
+    /// [`Pipeline::nn_radius`], [`Pipeline::tree_params`],
+    /// [`Pipeline::forest_params`] and [`Pipeline::mlp_params`] then
+    /// return each swept family's winner. A family whose grid is empty
+    /// is not swept and keeps its defaults.
+    pub fn tune(mut self, cfg: SweepConfig) -> Self {
+        self.tune = Some(cfg);
         self
     }
 
@@ -138,12 +120,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Overrides the evaluation configuration entirely.
-    pub fn eval_config(mut self, cfg: EvalConfig) -> Self {
-        self.eval_config = Some(cfg);
-        self
-    }
-
     /// Disables measurement noise in labeling and evaluation
     /// (deterministic-by-construction runs and tests).
     pub fn exact(mut self) -> Self {
@@ -153,13 +129,6 @@ impl PipelineBuilder {
         lc.noise = loopml_machine::NoiseModel::exact();
         self.label_config = Some(lc);
         self.eval_config = Some(EvalConfig::exact(self.swp));
-        self
-    }
-
-    /// Selects the union of the top `k` features by mutual information
-    /// and greedy forward selection (the default, with `k = 5`).
-    pub fn informative_features(mut self, k: usize) -> Self {
-        self.feature_count = Some(k);
         self
     }
 
@@ -193,7 +162,7 @@ impl PipelineBuilder {
             .eval_config
             .unwrap_or_else(|| EvalConfig::paper(self.swp));
         let LabelRun {
-            mut labeled,
+            labeled,
             report: degradation,
             ..
         } = label_suite_resilient(&suite, &label_config, &ResilienceConfig::default(), None);
@@ -210,21 +179,6 @@ impl PipelineBuilder {
             !labeled.is_empty(),
             "labeling produced no training examples"
         );
-        if self.config.prover_features {
-            // Loop names are unique across the corpus, so a name map
-            // recovers each example's IR for the prover block.
-            let by_name: std::collections::HashMap<&str, &loopml_ir::Loop> = suite
-                .iter()
-                .flat_map(|b| b.loops.iter())
-                .map(|w| (w.body.name.as_str(), &w.body))
-                .collect();
-            for ex in &mut labeled {
-                let l = by_name
-                    .get(ex.name.as_str())
-                    .expect("labeled loop missing from suite");
-                ex.features.extend(crate::features::extract_prover(l));
-            }
-        }
         let full_dataset = to_dataset(&labeled);
         let feature_subset = self
             .feature_count
@@ -240,7 +194,6 @@ impl PipelineBuilder {
             lint.enforce(label_config.lint, "training dataset");
         }
         let sweep = self
-            .config
             .tune
             .map(|cfg| loopml_ml::sweep(&dataset, &groups, &cfg));
         Pipeline {
@@ -283,7 +236,7 @@ pub struct Pipeline {
     /// What labeling retried and quarantined (empty on a clean run).
     pub degradation: DegradationReport,
     /// The hyperparameter sweep report when the builder was asked to
-    /// tune ([`PipelineConfig::tune`]); `None` means paper defaults
+    /// tune ([`PipelineBuilder::tune`]); `None` means paper defaults
     /// throughout.
     pub sweep: Option<SweepReport>,
 }
@@ -454,26 +407,23 @@ mod tests {
 
     /// A sweep over only the given SVM grid and NN radii: every other
     /// family's grid is empty.
-    fn tune_svm_nn(svm: SvmGrid, radii: Vec<f64>) -> PipelineConfig {
-        PipelineConfig {
-            tune: Some(SweepConfig {
-                svm,
-                radii,
-                tree: TreeGrid {
-                    max_depths: vec![],
-                    min_leafs: vec![],
-                },
-                forest: ForestGrid {
-                    sizes: vec![],
-                    ..ForestGrid::default()
-                },
-                mlp: MlpGrid {
-                    hiddens: vec![],
-                    lrs: vec![],
-                    ..MlpGrid::default()
-                },
-            }),
-            ..PipelineConfig::default()
+    fn tune_svm_nn(svm: SvmGrid, radii: Vec<f64>) -> SweepConfig {
+        SweepConfig {
+            svm,
+            radii,
+            tree: TreeGrid {
+                max_depths: vec![],
+                min_leafs: vec![],
+            },
+            forest: ForestGrid {
+                sizes: vec![],
+                ..ForestGrid::default()
+            },
+            mlp: MlpGrid {
+                hiddens: vec![],
+                lrs: vec![],
+                ..MlpGrid::default()
+            },
         }
     }
 
@@ -559,7 +509,7 @@ mod tests {
         let radii = vec![0.2, 0.3, 0.5, 0.8];
         let p = quick()
             .exact()
-            .configure(tune_svm_nn(grid.clone(), radii.clone()))
+            .tune(tune_svm_nn(grid.clone(), radii.clone()))
             .build();
         let sweep = p.sweep.as_ref().expect("tuning ran");
         assert_eq!(sweep.svm_cells.len(), 4);
@@ -573,29 +523,26 @@ mod tests {
     fn tuning_the_zoo_families_consumes_their_winners() {
         let p = quick()
             .exact()
-            .configure(PipelineConfig {
-                tune: Some(SweepConfig {
-                    svm: SvmGrid {
-                        gammas: vec![],
-                        cs: vec![],
-                        ..SvmGrid::default()
-                    },
-                    radii: vec![],
-                    tree: TreeGrid {
-                        max_depths: vec![2, 4],
-                        min_leafs: vec![1],
-                    },
-                    forest: ForestGrid {
-                        sizes: vec![4],
-                        ..ForestGrid::default()
-                    },
-                    mlp: MlpGrid {
-                        hiddens: vec![4],
-                        lrs: vec![0.1],
-                        ..MlpGrid::default()
-                    },
-                }),
-                ..PipelineConfig::default()
+            .tune(SweepConfig {
+                svm: SvmGrid {
+                    gammas: vec![],
+                    cs: vec![],
+                    ..SvmGrid::default()
+                },
+                radii: vec![],
+                tree: TreeGrid {
+                    max_depths: vec![2, 4],
+                    min_leafs: vec![1],
+                },
+                forest: ForestGrid {
+                    sizes: vec![4],
+                    ..ForestGrid::default()
+                },
+                mlp: MlpGrid {
+                    hiddens: vec![4],
+                    lrs: vec![0.1],
+                    ..MlpGrid::default()
+                },
             })
             .build();
         let s = p.sweep.as_ref().expect("tuning ran");
@@ -621,56 +568,12 @@ mod tests {
         };
         let p = quick()
             .exact()
-            .configure(tune_svm_nn(no_svm, vec![0.2, 0.4]))
+            .tune(tune_svm_nn(no_svm, vec![0.2, 0.4]))
             .build();
         let sweep = p.sweep.as_ref().expect("tuning ran");
         assert!(sweep.svm_cells.is_empty());
         assert_eq!(p.svm_params(), SvmParams::default());
         assert!([0.2, 0.4].contains(&p.nn_radius()));
-    }
-
-    #[test]
-    fn prover_features_widen_the_dataset_consistently() {
-        let p = quick()
-            .exact()
-            .configure(PipelineConfig {
-                prover_features: true,
-                ..PipelineConfig::default()
-            })
-            .build();
-        let width = crate::features::NUM_FEATURES + crate::features::NUM_PROVER_FEATURES;
-        assert_eq!(p.full_dataset.dims(), width);
-        assert_eq!(p.full_dataset.feature_names.len(), width);
-        // Every example's prover block matches a fresh extraction of
-        // its loop — the name join did not scramble rows.
-        let by_name: std::collections::HashMap<&str, &loopml_ir::Loop> = p
-            .suite
-            .iter()
-            .flat_map(|b| b.loops.iter())
-            .map(|w| (w.body.name.as_str(), &w.body))
-            .collect();
-        for ex in &p.labeled {
-            let l = by_name[ex.name.as_str()];
-            assert_eq!(
-                ex.features[crate::features::NUM_FEATURES..],
-                crate::features::extract_prover(l)
-            );
-        }
-        // A heuristic trained on a subset reaching into the prover
-        // block extracts the extended vector at choose time.
-        let cols: Vec<usize> = vec![1, 19, crate::features::NUM_FEATURES + 7];
-        let projected = p.full_dataset.select_features(&cols);
-        let h = LearnedHeuristic::fit(
-            "NN+prover",
-            Some(cols),
-            Box::new(NearNeighbors::new(DEFAULT_RADIUS)),
-            &projected,
-        );
-        for b in &p.suite {
-            for w in &b.loops {
-                assert!((1..=8).contains(&h.choose(&w.body)));
-            }
-        }
     }
 
     #[test]

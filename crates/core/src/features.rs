@@ -162,57 +162,6 @@ pub fn extract(l: &Loop) -> Vec<f64> {
     ]
 }
 
-/// Number of prover-derived features appended by [`extract_prover`].
-pub const NUM_PROVER_FEATURES: usize = 8;
-
-/// Names of the prover-derived features, aligned with
-/// [`extract_prover`]'s output order.
-pub const PROVER_FEATURE_NAMES: [&str; NUM_PROVER_FEATURES] = [
-    "# alias pairs: distinct bases",
-    "# alias pairs: exact affine",
-    "# alias pairs: gcd disjoint",
-    "# alias pairs: irregular overlap",
-    "# alias pairs: indirect",
-    "# alias pairs: ambiguous",
-    "min proven carried distance",
-    "# factors proven legal",
-];
-
-/// Extracts the legality prover's feature block: the alias-class
-/// histogram over dependence-relevant reference pairs, the minimum
-/// proven carried dependence distance ([`NO_CARRIED_DEP`] when none is
-/// proven), and the number of factors in `1..=MAX_UNROLL` the prover
-/// resolves `Proven`. Proofs are currently factor-uniform, so the last
-/// column takes values 0 or `MAX_UNROLL`; it is still computed
-/// per-factor to stay honest to the prover's per-(loop, factor) API.
-///
-/// [`NO_CARRIED_DEP`]: NO_CARRIED_DEP
-pub fn extract_prover(l: &Loop) -> Vec<f64> {
-    let a = loopml_lint::alias_counts(l);
-    let proven = (1..=crate::label::MAX_UNROLL)
-        .filter(|&f| loopml_lint::prove_factor(l, f).is_proven())
-        .count();
-    vec![
-        a.distinct_bases as f64,
-        a.exact_affine as f64,
-        a.gcd_disjoint as f64,
-        a.irregular_overlap as f64,
-        a.indirect as f64,
-        a.ambiguous as f64,
-        loopml_lint::min_proven_carried(l).map_or(NO_CARRIED_DEP, |d| d as f64),
-        proven as f64,
-    ]
-}
-
-/// The 38 paper features followed by the prover block: the extended
-/// `NUM_FEATURES + NUM_PROVER_FEATURES`-dimensional characterization
-/// used when `PipelineConfig::prover_features` is on.
-pub fn extract_with_prover(l: &Loop) -> Vec<f64> {
-    let mut v = extract(l);
-    v.extend(extract_prover(l));
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,68 +186,6 @@ mod tests {
         let f = extract(&daxpy());
         assert_eq!(f.len(), NUM_FEATURES);
         assert_eq!(FEATURE_NAMES.len(), NUM_FEATURES);
-    }
-
-    #[test]
-    fn prover_block_dimensions_and_values() {
-        let l = daxpy();
-        let p = extract_prover(&l);
-        assert_eq!(p.len(), NUM_PROVER_FEATURES);
-        assert_eq!(PROVER_FEATURE_NAMES.len(), NUM_PROVER_FEATURES);
-        let idx = |name: &str| {
-            PROVER_FEATURE_NAMES
-                .iter()
-                .position(|&n| n == name)
-                .expect("known prover feature")
-        };
-        // daxpy pairs with a store: (x, store) on distinct bases,
-        // (y, store) same base, same stride, distance 0 — not carried.
-        assert_eq!(p[idx("# alias pairs: distinct bases")], 1.0);
-        assert_eq!(p[idx("# alias pairs: exact affine")], 1.0);
-        assert_eq!(p[idx("# alias pairs: indirect")], 0.0);
-        assert_eq!(p[idx("min proven carried distance")], NO_CARRIED_DEP);
-        assert_eq!(p[idx("# factors proven legal")], 8.0);
-
-        let full = extract_with_prover(&l);
-        assert_eq!(full.len(), NUM_FEATURES + NUM_PROVER_FEATURES);
-        assert_eq!(full[..NUM_FEATURES], extract(&l));
-        assert_eq!(full[NUM_FEATURES..], p);
-        assert!(full.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn prover_block_flags_unprovable_loops() {
-        // A gather: indirect load feeding an affine store.
-        let mut b = LoopBuilder::new("gather", TripCount::Known(256));
-        let x = b.fp_reg();
-        b.load(x, MemRef::indirect(ArrayId(0), 8, 8));
-        b.store(x, MemRef::affine(ArrayId(1), 8, 0, 8));
-        let p = extract_prover(&b.build());
-        let idx = |name: &str| {
-            PROVER_FEATURE_NAMES
-                .iter()
-                .position(|&n| n == name)
-                .expect("known prover feature")
-        };
-        assert_eq!(p[idx("# alias pairs: distinct bases")], 1.0);
-        assert_eq!(p[idx("# factors proven legal")], 0.0);
-    }
-
-    #[test]
-    fn prover_block_reports_carried_distance() {
-        // a[i+2] = f(a[i]): an exactly proven carried distance of 2.
-        let mut b = LoopBuilder::new("carried", TripCount::Known(256));
-        let x = b.fp_reg();
-        let y = b.fp_reg();
-        b.load(x, MemRef::affine(ArrayId(0), 8, 0, 8));
-        b.binop(Opcode::FAdd, y, x, x);
-        b.store(y, MemRef::affine(ArrayId(0), 8, 16, 8));
-        let p = extract_prover(&b.build());
-        let idx = PROVER_FEATURE_NAMES
-            .iter()
-            .position(|&n| n == "min proven carried distance")
-            .unwrap();
-        assert_eq!(p[idx], 2.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use loopml_ir::{Loop, TripCount};
 use loopml_machine::MachineConfig;
 use loopml_ml::{Classifier, Dataset};
 
-use crate::features::{extract, NUM_FEATURES};
+use crate::features::extract;
 use crate::label::MAX_UNROLL;
 
 /// Anything that can pick an unroll factor for a loop at compile time.
@@ -239,10 +239,6 @@ impl Classifier for OrcClassifier {
 pub struct LearnedHeuristic {
     classifier: Box<dyn Classifier>,
     feature_subset: Option<Vec<usize>>,
-    /// Width of the full vector to extract at choose time: the paper's
-    /// 38, or 38 + the prover block when the subset (or the training
-    /// data, for subset-free classifiers) reaches past it.
-    input_dims: usize,
     name: String,
 }
 
@@ -255,36 +251,22 @@ impl std::fmt::Debug for LearnedHeuristic {
 impl LearnedHeuristic {
     /// Wraps an already-fitted classifier predicting classes `0..8`
     /// (factor − 1). If `feature_subset` is given, the classifier sees
-    /// only those columns of the full feature vector, in order — it
-    /// must have been trained on the matching projection. A subset
-    /// indexing past the 38 paper features makes [`choose`] extract the
-    /// prover-extended vector.
-    ///
-    /// [`choose`]: UnrollHeuristic::choose
+    /// only those columns of the 38-feature vector, in order — it must
+    /// have been trained on the matching projection.
     pub fn new(
         name: impl Into<String>,
         feature_subset: Option<Vec<usize>>,
         classifier: Box<dyn Classifier>,
     ) -> Self {
-        let input_dims = feature_subset.as_ref().map_or(NUM_FEATURES, |cols| {
-            cols.iter()
-                .map(|&c| c + 1)
-                .max()
-                .unwrap_or(0)
-                .max(NUM_FEATURES)
-        });
         LearnedHeuristic {
             classifier,
             feature_subset,
-            input_dims,
             name: name.into(),
         }
     }
 
     /// Fits `classifier` on `data` (already restricted to
-    /// `feature_subset`, if any) and wraps it. For subset-free
-    /// classifiers the training width of `data` fixes the extraction
-    /// width at choose time.
+    /// `feature_subset`, if any) and wraps it.
     pub fn fit(
         name: impl Into<String>,
         feature_subset: Option<Vec<usize>>,
@@ -292,11 +274,7 @@ impl LearnedHeuristic {
         data: &Dataset,
     ) -> Self {
         classifier.fit(data);
-        let mut h = LearnedHeuristic::new(name, feature_subset, classifier);
-        if h.feature_subset.is_none() {
-            h.input_dims = h.input_dims.max(data.dims());
-        }
-        h
+        LearnedHeuristic::new(name, feature_subset, classifier)
     }
 
     /// The wrapped classifier.
@@ -310,11 +288,7 @@ impl UnrollHeuristic for LearnedHeuristic {
         if !l.is_unrollable() {
             return 1;
         }
-        let full = if self.input_dims > NUM_FEATURES {
-            crate::features::extract_with_prover(l)
-        } else {
-            extract(l)
-        };
+        let full = extract(l);
         let x: Vec<f64> = match &self.feature_subset {
             Some(cols) => cols.iter().map(|&c| full[c]).collect(),
             None => full,

@@ -71,7 +71,7 @@ pub mod pipeline;
 pub use artifact::{
     classifier_for_kind, dataset_fingerprint, model_fingerprint, ModelArtifact, MODEL_SCHEMA,
 };
-pub use builder::{Pipeline, PipelineBuilder, PipelineConfig};
+pub use builder::{Pipeline, PipelineBuilder};
 pub use checkpoint::{
     checkpoint_path, config_fingerprint, labeled_from_json, labeled_to_json, read_checkpoint,
     write_checkpoint, CKPT_SCHEMA,
@@ -83,10 +83,7 @@ pub use fault::{
     BenchmarkOutcome, DegradationReport, LabelError, QuarantineEntry, QuarantineScope,
     DEGRADATION_SCHEMA,
 };
-pub use features::{
-    extract, extract_prover, extract_with_prover, FEATURE_NAMES, NUM_FEATURES, NUM_PROVER_FEATURES,
-    PROVER_FEATURE_NAMES,
-};
+pub use features::{extract, FEATURE_NAMES, NUM_FEATURES};
 pub use heuristics::{
     LearnedHeuristic, OrcClassifier, OrcHeuristic, OrcSwpHeuristic, UnrollHeuristic,
 };
@@ -96,6 +93,5 @@ pub use label::{
     DEFAULT_RETRY_BUDGET, MAX_UNROLL,
 };
 pub use pipeline::{
-    benchmark_groups, feature_names, informative_features, loocv_accuracy, svm_training_error,
-    to_dataset,
+    benchmark_groups, informative_features, loocv_accuracy, svm_training_error, to_dataset,
 };

@@ -5,40 +5,21 @@ use loopml_ml::{
     greedy_forward_nn, mutual_information, Classifier, Dataset, MulticlassSvm, SvmParams,
 };
 
-use crate::features::{FEATURE_NAMES, NUM_FEATURES, NUM_PROVER_FEATURES, PROVER_FEATURE_NAMES};
+use crate::features::FEATURE_NAMES;
 use crate::label::LabeledLoop;
 
-/// Column names for a `dims`-wide feature matrix: the 38 paper features,
-/// optionally followed by the prover block.
+/// Converts labeled loops into an ML dataset over all 38 features.
 ///
 /// # Panics
 ///
-/// Panics on a width that is neither `NUM_FEATURES` nor
-/// `NUM_FEATURES + NUM_PROVER_FEATURES`.
-pub fn feature_names(dims: usize) -> Vec<String> {
-    let mut names: Vec<String> = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
-    if dims == NUM_FEATURES + NUM_PROVER_FEATURES {
-        names.extend(PROVER_FEATURE_NAMES.iter().map(|s| s.to_string()));
-    } else {
-        assert_eq!(dims, NUM_FEATURES, "unsupported feature width {dims}");
-    }
-    names
-}
-
-/// Converts labeled loops into an ML dataset over all 38 features (or
-/// 38 + the prover block when the loops carry extended vectors).
-///
-/// # Panics
-///
-/// Panics if `labeled` is empty.
+/// Panics if `labeled` is empty or a feature vector is not 38 wide.
 pub fn to_dataset(labeled: &[LabeledLoop]) -> Dataset {
     assert!(!labeled.is_empty(), "no labeled loops");
-    let names = feature_names(labeled[0].features.len());
     Dataset::new(
         labeled.iter().map(|l| l.features.clone()).collect(),
         labeled.iter().map(|l| l.label).collect(),
         8,
-        names,
+        FEATURE_NAMES.iter().map(|s| s.to_string()).collect(),
         labeled.iter().map(|l| l.name.clone()).collect(),
     )
 }

@@ -65,7 +65,7 @@ pub const CROSS_CHECK_DENOM: u64 = 8;
 
 /// Alias-class histogram over a loop's dependence-relevant reference
 /// pairs (pairs with at least one store; load-load pairs carry no
-/// constraint). Doubles as a prover-derived feature block.
+/// constraint).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AliasCounts {
     /// Pairs on provably distinct bases.
@@ -385,18 +385,6 @@ fn analyze_pairs(l: &Loop) -> PairAnalysis {
         min_carried,
         blocker,
     }
-}
-
-/// Alias-class histogram over the loop's dependence-relevant pairs (a
-/// prover-derived feature block; see [`AliasCounts`]).
-pub fn alias_counts(l: &Loop) -> AliasCounts {
-    analyze_pairs(l).alias
-}
-
-/// Minimum positive dependence distance among exactly analyzed pairs,
-/// independent of the overall verdict (a prover-derived feature).
-pub fn min_proven_carried(l: &Loop) -> Option<i64> {
-    analyze_pairs(l).min_carried
 }
 
 /// `true` if any reference of `l` is indirect.

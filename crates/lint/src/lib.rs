@@ -48,8 +48,8 @@ pub mod verify;
 
 pub use dataset::{lint_dataset, lint_quarantine, QUARANTINE_DENY_RATE, QUARANTINE_WARN_RATE};
 pub use legality::{
-    alias_counts, check_transform, cross_check_sample, min_proven_carried, prove_factor,
-    AliasCounts, Certificate, LegalityStats, UnknownReason, Verdict, Witness,
+    check_transform, cross_check_sample, prove_factor, AliasCounts, Certificate, LegalityStats,
+    UnknownReason, Verdict, Witness,
 };
 pub use transform::{
     differential_check, validate_pipeline, validate_pipeline_full, validate_transformed,

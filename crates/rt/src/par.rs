@@ -46,8 +46,10 @@ pub fn num_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Renders a panic payload as a human-readable message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Renders a panic payload as a human-readable message. Pass the
+/// payload itself (`&*payload`): a `&Box<dyn Any>` would coerce to the
+/// box and match no downcast.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(f) = payload.downcast_ref::<InjectedFault>() {
         format!("injected fault at {} (key {:#x})", f.site, f.key)
     } else if let Some(s) = payload.downcast_ref::<&str>() {
@@ -99,7 +101,11 @@ where
 ///
 /// # Panics
 ///
-/// Propagates the first panic raised by `f` once all workers finish.
+/// Panics if `f` panics. On the serial path (one worker, at most one
+/// item, or a call nested inside a worker) `f`'s own panic propagates
+/// unchanged. On worker threads the panic is re-raised by
+/// `std::thread::scope` once all workers finish, as "a scoped thread
+/// panicked": the original payload does not reach the caller.
 pub fn par_map_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

@@ -11,29 +11,25 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use loopml_serve::{
-    serve_framed_with, serve_lines_with, serve_stats_to_json, ServeModel, ServeOptions,
-};
+use loopml_serve::{serve_lines_with, serve_stats_to_json, ServeModel, ServeOptions};
 
 const USAGE: &str = "\
 loopml-serve — unroll-factor prediction daemon (loopml/model/v1)
 
 USAGE:
-    loopml-serve --artifact <path> [--framed] [--stats-out <path>]
+    loopml-serve --artifact <path> [--stats-out <path>]
 
 OPTIONS:
     --artifact <path>   Model artifact JSON written by `repro train`
-    --framed            Length-prefixed frames instead of JSON lines
     --stats-out <path>  Write the loopml/serve-stats/v1 document here on exit
     --help              Print this message
 
-PROTOCOL (one request per line, or per frame with --framed):
+PROTOCOL (one JSON request per line):
     {\"id\": 1, \"features\": [[...], ...]}   -> {\"id\": 1, \"factors\": [...]}
     {\"id\": 2, \"loops\": [{...}, ...]}      -> {\"id\": 2, \"factors\": [...]}
     {\"control\": \"ping\"|\"stats\"|\"shutdown\"}  control plane / graceful drain
 
 ENVIRONMENT:
-    LOOPML_SERVE_MAX_FRAME   frame payload cap in bytes (default 16 MiB)
     LOOPML_SERVE_MAX_LINE    request line cap in bytes (default 1 MiB)
     LOOPML_SERVE_MAX_BATCH   rows per batch cap (default 4096)
     LOOPML_SERVE_RETRIES     in-daemon retries for injected faults (default 3)
@@ -43,19 +39,16 @@ Exit codes: 0 clean EOF or drain, 1 runtime failure, 2 usage error.";
 
 struct Args {
     artifact: PathBuf,
-    framed: bool,
     stats_out: Option<PathBuf>,
 }
 
 fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     let mut artifact = None;
-    let mut framed = false;
     let mut stats_out = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--help" | "-h" => return Ok(None),
-            "--framed" => framed = true,
             "--artifact" => {
                 artifact = Some(PathBuf::from(
                     it.next().ok_or("--artifact requires a path")?,
@@ -72,7 +65,6 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     match artifact {
         Some(artifact) => Ok(Some(Args {
             artifact,
-            framed,
             stats_out,
         })),
         None => Err("--artifact <path> is required".into()),
@@ -111,12 +103,7 @@ fn main() -> ExitCode {
     }
     let stdin = std::io::stdin().lock();
     let stdout = std::io::stdout().lock();
-    let served = if args.framed {
-        serve_framed_with(&model, &opts, stdin, stdout)
-    } else {
-        serve_lines_with(&model, &opts, stdin, stdout)
-    };
-    match served {
+    match serve_lines_with(&model, &opts, stdin, stdout) {
         Ok(stats) => {
             if let Some(path) = &args.stats_out {
                 let doc = serve_stats_to_json(&model, &stats);

@@ -13,9 +13,9 @@
 //!   codec for [`loopml_ir::Loop`] bodies, so clients can send either
 //!   raw feature vectors or whole loops.
 //! * [`server`] runs the long-lived daemon loop over any
-//!   reader/writer pair, in newline-delimited or length-prefixed
-//!   framing, amortizing normalization and SVM kernel-row setup across
-//!   each batch via [`loopml_ml::Classifier::predict_batch`].
+//!   reader/writer pair, one JSON request per line, amortizing
+//!   normalization and SVM kernel-row setup across each batch via
+//!   [`loopml_ml::Classifier::predict_batch`].
 //!
 //! The `loopml-serve` binary wires [`server`] to stdin/stdout.
 
@@ -28,11 +28,10 @@ pub mod wire;
 
 pub use model::ServeModel;
 pub use server::{
-    serve_framed, serve_framed_with, serve_lines, serve_lines_with, serve_stats_to_json,
-    validate_serve_stats, ServeOptions, ServeSession, ServeStats, SessionReply,
-    DEFAULT_SERVE_RETRIES, SERVE_STATS_SCHEMA,
+    serve_lines_with, serve_stats_to_json, validate_serve_stats, ServeOptions, ServeSession,
+    ServeStats, SessionReply, DEFAULT_SERVE_RETRIES, SERVE_STATS_SCHEMA,
 };
 pub use wire::{
-    code, loop_from_json, loop_to_json, read_frame, read_frame_bounded, read_line_bounded,
-    write_frame, Frame, Line, Request, Response, ServeLimits, MAX_BATCH, MAX_FRAME, MAX_LINE,
+    code, loop_from_json, loop_to_json, read_line_bounded, Line, Request, Response, ServeLimits,
+    MAX_BATCH, MAX_LINE,
 };

@@ -2,9 +2,7 @@
 
 use std::path::Path;
 
-use loopml::{
-    extract, extract_with_prover, LearnedHeuristic, ModelArtifact, MAX_UNROLL, NUM_FEATURES,
-};
+use loopml::{extract, LearnedHeuristic, ModelArtifact, MAX_UNROLL, NUM_FEATURES};
 use loopml_ir::Loop;
 
 /// A model artifact reconstructed for serving.
@@ -65,31 +63,6 @@ impl ServeModel {
         }
     }
 
-    /// Width of the full vector to extract: the paper's 38, or 38 + the
-    /// prover block when the subset reaches past it — mirroring
-    /// [`LearnedHeuristic`]'s input-dims inference so served and
-    /// in-process answers stay bit-identical.
-    fn full_dims(&self) -> usize {
-        match &self.artifact.feature_subset {
-            Some(cols) => cols
-                .iter()
-                .map(|&c| c + 1)
-                .max()
-                .unwrap_or(0)
-                .max(NUM_FEATURES),
-            None => NUM_FEATURES,
-        }
-    }
-
-    /// Extracts the model's full input vector for one loop.
-    fn extract_full(&self, l: &Loop) -> Vec<f64> {
-        if self.full_dims() > NUM_FEATURES {
-            extract_with_prover(l)
-        } else {
-            extract(l)
-        }
-    }
-
     /// Predicts one unroll factor in `1..=8` per feature row.
     ///
     /// Rows may be full 38-feature vectors (projected onto the model's
@@ -102,19 +75,19 @@ impl ServeModel {
     pub fn predict_rows(&self, rows: &[Vec<f64>]) -> Result<Vec<u32>, String> {
         let subset = self.artifact.feature_subset.as_deref();
         let dims = self.subset_dims();
-        let full = self.full_dims();
         let projected: Vec<Vec<f64>> = rows
             .iter()
             .map(|row| {
                 if row.len() == dims {
                     Ok(row.clone())
-                } else if row.len() == full {
+                } else if row.len() == NUM_FEATURES {
                     // Full vector: project like the in-process heuristic.
-                    let cols = subset.expect("dims != full_dims implies a subset");
+                    let cols = subset.expect("dims != NUM_FEATURES implies a subset");
                     Ok(cols.iter().map(|&c| row[c]).collect())
                 } else {
                     Err(format!(
-                        "feature row has {} values; expected {dims} (projected) or {full} (full)",
+                        "feature row has {} values; expected {dims} (projected) or \
+                         {NUM_FEATURES} (full)",
                         row.len()
                     ))
                 }
@@ -140,7 +113,7 @@ impl ServeModel {
         let mut unrollable = Vec::new();
         for (i, l) in loops.iter().enumerate() {
             if l.is_unrollable() {
-                let full = self.extract_full(l);
+                let full = extract(l);
                 rows.push(match subset {
                     Some(cols) => cols.iter().map(|&c| full[c]).collect(),
                     None => full,

@@ -1,19 +1,16 @@
-//! The daemon loop: read a request, answer a batch, repeat until EOF
-//! or a shutdown sentinel.
+//! The daemon loop: read a request line, answer a batch, repeat until
+//! EOF or a shutdown sentinel.
 //!
-//! Two transports share one dispatch path: newline-delimited JSON
-//! (trivially driven from a shell) and 4-byte big-endian
-//! length-prefixed frames (for clients embedding the daemon where
-//! newline framing is fragile). The loop is hardened for production:
+//! The transport is newline-delimited JSON, trivially driven from a
+//! shell or any client. The loop is hardened for production:
 //!
-//! * **Admission limits** ([`ServeLimits`]) — an oversized frame, an
-//!   unbounded request line, or a too-large batch is answered with a
-//!   structured error code ([`crate::wire::code`]) and the transport
-//!   resyncs; hostile input can cost one bounded buffer, never the
-//!   daemon.
+//! * **Admission limits** ([`ServeLimits`]) — an unbounded request line
+//!   or a too-large batch is answered with a structured error code
+//!   ([`crate::wire::code`]) and the reader resyncs at the next line;
+//!   hostile input can cost one bounded buffer, never the daemon.
 //! * **Panic isolation** — every prediction runs under `catch_unwind`;
-//!   a genuine panic is answered as a [`code::PANIC`] error and the
-//!   loop keeps serving.
+//!   a genuine panic is answered as a [`code::PANIC`] error carrying the
+//!   panic's message, and the loop keeps serving.
 //! * **Deterministic chaos** — the [`FaultPlane`] sites `serve.decode`,
 //!   `serve.predict` and `serve.write` inject reproducible faults keyed
 //!   by `(request sequence, attempt)`. Injected faults are retried
@@ -26,15 +23,14 @@
 //!   a validated [`SERVE_STATS_SCHEMA`] document.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use loopml_rt::fault::site;
 use loopml_rt::{fault_key, FaultPlane, InjectedFault, Json};
 
 use crate::model::ServeModel;
-use crate::wire::{code, read_frame_bounded, read_line_bounded, write_frame};
-use crate::wire::{Frame, Line, Request, Response, ServeLimits};
+use crate::wire::{code, read_line_bounded, Line, Request, Response, ServeLimits};
 
 /// Schema tag of the drain/stats document the daemon emits.
 pub const SERVE_STATS_SCHEMA: &str = "loopml/serve-stats/v1";
@@ -50,7 +46,7 @@ pub const SERVE_RETRIES_ENV: &str = "LOOPML_SERVE_RETRIES";
 /// fault plane, and the transient-fault retry budget.
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
-    /// Admission limits (frame/line/batch caps).
+    /// Admission limits (line and batch caps).
     pub limits: ServeLimits,
     /// Deterministic fault plane (disabled outside chaos runs).
     pub faults: FaultPlane,
@@ -143,9 +139,9 @@ impl SessionReply {
     }
 }
 
-/// One serving session: the model, the options, and the counters. Both
-/// transports and the serve-bench replay drive this state machine, so
-/// retry/fault/limit behavior cannot drift between them.
+/// One serving session: the model, the options, and the counters. The
+/// daemon loop and the serve-bench replay both drive this state
+/// machine, so retry/fault/limit behavior cannot drift between them.
 #[derive(Debug)]
 pub struct ServeSession<'m> {
     model: &'m ServeModel,
@@ -217,8 +213,8 @@ impl<'m> ServeSession<'m> {
         SessionReply::Answer(response)
     }
 
-    /// Answers a defective transport read (oversized frame, overlong
-    /// line, torn frame) as a structured error response.
+    /// Answers a defective transport read (an overlong line) as a
+    /// structured error response.
     pub fn answer_defect(&mut self, defect_code: &'static str, message: String) -> SessionReply {
         let r = Response::error(Json::Null, defect_code, message);
         self.seq += 1;
@@ -310,7 +306,10 @@ impl<'m> ServeSession<'m> {
                     return Response::error(
                         id(),
                         code::PANIC,
-                        format!("prediction panicked: {}", panic_text(&payload)),
+                        format!(
+                            "prediction panicked: {}",
+                            loopml_rt::par::panic_message(&*payload)
+                        ),
                     );
                 }
             }
@@ -323,16 +322,6 @@ impl<'m> ServeSession<'m> {
                 self.opts.retry_budget + 1
             ),
         )
-    }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
     }
 }
 
@@ -433,47 +422,4 @@ pub fn serve_lines_with<R: BufRead, W: Write>(
         }
     }
     Ok(session.into_stats())
-}
-
-/// Serves length-prefixed frames under `opts` until EOF or a shutdown
-/// sentinel. Oversized, torn or undecodable frames are answered with
-/// structured error frames and the transport resyncs.
-pub fn serve_framed_with<R: Read, W: Write>(
-    model: &ServeModel,
-    opts: &ServeOptions,
-    mut reader: R,
-    mut writer: W,
-) -> Result<ServeStats, String> {
-    let mut session = ServeSession::new(model, opts.clone());
-    while let Some(frame) = read_frame_bounded(&mut reader, &opts.limits)? {
-        let reply = match frame {
-            Frame::Doc(doc) => session.answer_doc(&doc),
-            Frame::Defect { code, message } => session.answer_defect(code, message),
-        };
-        write_frame(&mut writer, &reply.to_json())
-            .map_err(|e| format!("response write failed: {e}"))?;
-        if matches!(reply, SessionReply::Shutdown(_)) {
-            break;
-        }
-    }
-    Ok(session.into_stats())
-}
-
-/// [`serve_lines_with`] under the environment's configuration
-/// (`LOOPML_SERVE_MAX_*`, `LOOPML_FAULTS`, `LOOPML_SERVE_RETRIES`).
-pub fn serve_lines<R: BufRead, W: Write>(
-    model: &ServeModel,
-    reader: R,
-    writer: W,
-) -> Result<ServeStats, String> {
-    serve_lines_with(model, &ServeOptions::from_env(), reader, writer)
-}
-
-/// [`serve_framed_with`] under the environment's configuration.
-pub fn serve_framed<R: Read, W: Write>(
-    model: &ServeModel,
-    reader: R,
-    writer: W,
-) -> Result<ServeStats, String> {
-    serve_framed_with(model, &ServeOptions::from_env(), reader, writer)
 }

@@ -1,6 +1,6 @@
 //! The serving wire protocol: request/response documents, a full JSON
-//! codec for [`Loop`] bodies, and the length-prefixed framing used when
-//! newline-delimited JSON is inconvenient for the client.
+//! codec for [`Loop`] bodies, and the bounded line reader of the
+//! newline-delimited transport.
 //!
 //! A request is one JSON object carrying an `id` (echoed back verbatim)
 //! and either a batch of raw feature vectors or a batch of whole loops:
@@ -16,16 +16,11 @@
 //! daemon keeps serving — one bad batch never takes the service down.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, Read, Write};
+use std::io::BufRead;
 use std::sync::Once;
 
 use loopml_ir::{ArrayId, Inst, Loop, MemRef, Opcode, Reg, RegClass, SourceLang, TripCount};
 use loopml_rt::Json;
-
-/// Largest frame the length-prefixed transport accepts (16 MiB): a
-/// corrupt or hostile length header must not look like an allocation
-/// request.
-pub const MAX_FRAME: u32 = 16 << 20;
 
 /// Default cap on one newline-delimited request line (1 MiB).
 pub const MAX_LINE: usize = 1 << 20;
@@ -37,12 +32,9 @@ pub const MAX_BATCH: usize = 4096;
 /// can tell a malformed request from an admission-limit rejection from
 /// an internal failure without parsing prose.
 pub mod code {
-    /// The request could not be decoded (bad JSON, bad shape, torn
-    /// frame). Not retryable as sent.
+    /// The request could not be decoded (bad JSON, bad shape). Not
+    /// retryable as sent.
     pub const DECODE: &str = "decode";
-    /// A frame's length prefix exceeded the configured cap; the payload
-    /// was skipped and the transport resynced.
-    pub const LIMIT_FRAME: &str = "limit.frame";
     /// A request line exceeded the configured cap; the rest of the line
     /// was discarded.
     pub const LIMIT_LINE: &str = "limit.line";
@@ -58,13 +50,11 @@ pub mod code {
 }
 
 /// Admission limits for the serving daemon, configurable per deployment
-/// through `LOOPML_SERVE_MAX_FRAME`, `LOOPML_SERVE_MAX_LINE` and
-/// `LOOPML_SERVE_MAX_BATCH`. Every limit violation is answered with a
-/// structured error response; none of them kills the daemon.
+/// through `LOOPML_SERVE_MAX_LINE` and `LOOPML_SERVE_MAX_BATCH`. Every
+/// limit violation is answered with a structured error response; none
+/// of them kills the daemon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeLimits {
-    /// Largest accepted frame payload in bytes.
-    pub max_frame: u32,
     /// Largest accepted request line in bytes (excluding the newline).
     pub max_line: usize,
     /// Largest accepted batch (rows or loops per request).
@@ -74,7 +64,6 @@ pub struct ServeLimits {
 impl Default for ServeLimits {
     fn default() -> Self {
         ServeLimits {
-            max_frame: MAX_FRAME,
             max_line: MAX_LINE,
             max_batch: MAX_BATCH,
         }
@@ -102,8 +91,6 @@ impl ServeLimits {
             }
         }
         ServeLimits {
-            max_frame: env_limit("LOOPML_SERVE_MAX_FRAME", u64::from(MAX_FRAME))
-                .min(u64::from(u32::MAX)) as u32,
             max_line: env_limit("LOOPML_SERVE_MAX_LINE", MAX_LINE as u64) as usize,
             max_batch: env_limit("LOOPML_SERVE_MAX_BATCH", MAX_BATCH as u64) as usize,
         }
@@ -460,114 +447,6 @@ impl Response {
     }
 }
 
-/// Writes one length-prefixed frame: a 4-byte big-endian byte count,
-/// then that many bytes of UTF-8 JSON.
-pub fn write_frame<W: Write>(w: &mut W, doc: &Json) -> std::io::Result<()> {
-    let text = doc.to_string();
-    let bytes = text.as_bytes();
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
-    w.flush()
-}
-
-/// One bounded read from the framed transport: a decoded document, or
-/// a defect the daemon answers with an error response before resyncing
-/// to the next frame.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
-    /// A well-formed frame carrying one JSON document.
-    Doc(Json),
-    /// A defective frame. The payload was consumed (or skipped), so the
-    /// reader is positioned at the next frame boundary.
-    Defect {
-        /// Structured error code (see [`code`]).
-        code: &'static str,
-        /// What was wrong with the frame.
-        message: String,
-    },
-}
-
-/// Reads one length-prefixed frame under `limits`, never allocating
-/// more than the configured cap: an oversized length prefix skips the
-/// payload and reports a [`Frame::Defect`] so the stream resyncs at the
-/// next frame boundary; torn or undecodable frames are defects too.
-/// `Ok(None)` is a clean EOF at a frame boundary; `Err` is reserved for
-/// genuine transport failures (an unreadable pipe).
-pub fn read_frame_bounded<R: Read>(
-    r: &mut R,
-    limits: &ServeLimits,
-) -> Result<Option<Frame>, String> {
-    let mut header = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        match r.read(&mut header[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Ok(Some(Frame::Defect {
-                    code: code::DECODE,
-                    message: format!("torn frame header ({got} of 4 bytes)"),
-                }))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(format!("frame header read failed: {e}")),
-        }
-    }
-    let len = u32::from_be_bytes(header);
-    if len > limits.max_frame {
-        // Skip the claimed payload without allocating it; a truncated
-        // oversize frame just drains to EOF.
-        let skipped = std::io::copy(&mut r.take(u64::from(len)), &mut std::io::sink())
-            .map_err(|e| format!("oversized frame skip failed: {e}"))?;
-        return Ok(Some(Frame::Defect {
-            code: code::LIMIT_FRAME,
-            message: format!(
-                "frame length {len} exceeds the {}-byte cap ({skipped} bytes skipped)",
-                limits.max_frame
-            ),
-        }));
-    }
-    let mut buf = vec![0u8; len as usize];
-    if let Err(e) = r.read_exact(&mut buf) {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            return Ok(Some(Frame::Defect {
-                code: code::DECODE,
-                message: format!("torn frame (wanted {len} bytes): {e}"),
-            }));
-        }
-        return Err(format!("frame payload read failed: {e}"));
-    }
-    let text = match String::from_utf8(buf) {
-        Ok(t) => t,
-        Err(e) => {
-            return Ok(Some(Frame::Defect {
-                code: code::DECODE,
-                message: format!("frame is not UTF-8: {e}"),
-            }))
-        }
-    };
-    match Json::parse(&text) {
-        Ok(doc) => Ok(Some(Frame::Doc(doc))),
-        Err(e) => Ok(Some(Frame::Defect {
-            code: code::DECODE,
-            message: format!("frame is not valid JSON: {e}"),
-        })),
-    }
-}
-
-/// Reads one length-prefixed frame; `Ok(None)` is a clean end of
-/// stream (EOF exactly at a frame boundary). This is the strict
-/// pre-hardening surface — any defect is an `Err` — kept for clients
-/// that want torn input to be loud; the daemon itself uses
-/// [`read_frame_bounded`] and keeps serving.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Json>, String> {
-    match read_frame_bounded(r, &ServeLimits::default())? {
-        None => Ok(None),
-        Some(Frame::Doc(doc)) => Ok(Some(doc)),
-        Some(Frame::Defect { message, .. }) => Err(message),
-    }
-}
-
 /// One bounded read from the line transport.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Line {
@@ -739,75 +618,6 @@ mod tests {
             ("loops", Json::Arr(vec![])),
         ]);
         assert!(Request::from_json(&both).is_err());
-    }
-
-    #[test]
-    fn frames_round_trip_and_reject_oversize() {
-        let doc = Request::Features {
-            id: Json::Num(1.0),
-            rows: vec![vec![2.0]],
-        }
-        .to_json();
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &doc).unwrap();
-        write_frame(&mut buf, &doc).unwrap();
-        let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap(), Some(doc.clone()));
-        assert_eq!(read_frame(&mut r).unwrap(), Some(doc));
-        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
-        // A huge length header is an error, not an allocation.
-        let bogus = (MAX_FRAME + 1).to_be_bytes();
-        assert!(read_frame(&mut &bogus[..]).is_err());
-        // A truncated body is an error too.
-        let mut torn = Vec::new();
-        write_frame(&mut torn, &Json::Num(1.0)).unwrap();
-        torn.pop();
-        assert!(read_frame(&mut &torn[..]).is_err());
-    }
-
-    #[test]
-    fn bounded_frames_skip_oversize_and_resync() {
-        let limits = ServeLimits {
-            max_frame: 16,
-            ..ServeLimits::default()
-        };
-        let doc = Json::obj([("id", Json::Num(1.0))]);
-        let mut buf = Vec::new();
-        // An oversized frame, then a well-formed one: the reader must
-        // answer a defect and then still decode the good frame.
-        write_frame(&mut buf, &Json::Str("x".repeat(64))).unwrap();
-        write_frame(&mut buf, &doc).unwrap();
-        let mut r = &buf[..];
-        match read_frame_bounded(&mut r, &limits).unwrap() {
-            Some(Frame::Defect { code: c, .. }) => assert_eq!(c, code::LIMIT_FRAME),
-            other => panic!("expected an oversize defect, got {other:?}"),
-        }
-        assert_eq!(
-            read_frame_bounded(&mut r, &limits).unwrap(),
-            Some(Frame::Doc(doc))
-        );
-        assert_eq!(read_frame_bounded(&mut r, &limits).unwrap(), None);
-
-        // A torn payload is a defect followed by clean EOF, not a hang
-        // or a transport error.
-        let mut torn = Vec::new();
-        write_frame(&mut torn, &Json::Num(1.0)).unwrap();
-        torn.pop();
-        let mut r = &torn[..];
-        match read_frame_bounded(&mut r, &limits).unwrap() {
-            Some(Frame::Defect { code: c, .. }) => assert_eq!(c, code::DECODE),
-            other => panic!("expected a torn-frame defect, got {other:?}"),
-        }
-        assert_eq!(read_frame_bounded(&mut r, &limits).unwrap(), None);
-
-        // Unparseable payloads are defects too.
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&4u32.to_be_bytes());
-        bad.extend_from_slice(b"!!!!");
-        match read_frame_bounded(&mut &bad[..], &limits).unwrap() {
-            Some(Frame::Defect { code: c, .. }) => assert_eq!(c, code::DECODE),
-            other => panic!("expected a decode defect, got {other:?}"),
-        }
     }
 
     #[test]

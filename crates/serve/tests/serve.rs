@@ -9,7 +9,7 @@ use loopml_ml::{
     SvmParams, TreeParams, DEFAULT_RADIUS,
 };
 use loopml_rt::Json;
-use loopml_serve::{serve_framed, serve_lines, Request, Response, ServeModel};
+use loopml_serve::{serve_lines_with, Request, Response, ServeModel, ServeOptions};
 
 fn quick_pipeline() -> loopml::Pipeline {
     PipelineBuilder::paper()
@@ -88,7 +88,13 @@ fn line_daemon_round_trips_loops_and_features() {
     input.push_str("\nnot json at all\n\n");
 
     let mut output = Vec::new();
-    let stats = serve_lines(&model, input.as_bytes(), &mut output).expect("serve");
+    let stats = serve_lines_with(
+        &model,
+        &ServeOptions::from_env(),
+        input.as_bytes(),
+        &mut output,
+    )
+    .expect("serve");
     assert_eq!(stats.batches, 4);
 
     let text = String::from_utf8(output).unwrap();
@@ -129,37 +135,6 @@ fn line_daemon_round_trips_loops_and_features() {
 }
 
 #[test]
-fn framed_daemon_matches_the_line_daemon() {
-    let p = quick_pipeline();
-    let loops = all_loops(&p);
-    let artifact = p.train_artifact("NN", Box::new(NearNeighbors::new(DEFAULT_RADIUS)));
-    let model = ServeModel::from_artifact(artifact).expect("reconstruct");
-    let req = Request::Loops {
-        id: Json::Num(0.0),
-        loops: loops.clone(),
-    };
-
-    let mut framed_in = Vec::new();
-    loopml_serve::write_frame(&mut framed_in, &req.to_json()).unwrap();
-    let mut framed_out = Vec::new();
-    let stats = serve_framed(&model, &framed_in[..], &mut framed_out).expect("serve");
-    assert_eq!(stats.batches, 1);
-    assert_eq!(stats.predictions, loops.len());
-
-    let doc = loopml_serve::read_frame(&mut &framed_out[..])
-        .unwrap()
-        .expect("one response frame");
-    let want: Vec<u32> = loops.iter().map(|l| model.heuristic().choose(l)).collect();
-    assert_eq!(
-        Response::from_json(&doc).unwrap(),
-        Response::Factors {
-            id: Json::Num(0.0),
-            factors: want
-        }
-    );
-}
-
-#[test]
 fn wrong_dimension_features_answer_an_error_not_a_crash() {
     let p = quick_pipeline();
     let artifact = p.train_artifact("NN", Box::new(NearNeighbors::new(DEFAULT_RADIUS)));
@@ -170,7 +145,13 @@ fn wrong_dimension_features_answer_an_error_not_a_crash() {
     };
     let input = format!("{}\n", req.to_json());
     let mut output = Vec::new();
-    serve_lines(&model, input.as_bytes(), &mut output).expect("serve");
+    serve_lines_with(
+        &model,
+        &ServeOptions::from_env(),
+        input.as_bytes(),
+        &mut output,
+    )
+    .expect("serve");
     let text = String::from_utf8(output).unwrap();
     let resp = Response::from_json(&Json::parse(text.trim()).unwrap()).unwrap();
     match resp {

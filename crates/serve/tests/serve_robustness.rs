@@ -9,8 +9,8 @@ use loopml_ml::{Classifier, Dataset, NearNeighbors};
 use loopml_rt::fault::site;
 use loopml_rt::{FaultPlane, Json};
 use loopml_serve::{
-    code, read_frame, serve_framed_with, serve_lines_with, validate_serve_stats, Request, Response,
-    ServeLimits, ServeModel, ServeOptions,
+    code, serve_lines_with, validate_serve_stats, Request, Response, ServeLimits, ServeModel,
+    ServeOptions,
 };
 
 /// A tiny NN model trained on 4 hand-written 2-feature examples —
@@ -20,6 +20,11 @@ use loopml_serve::{
 /// 2-feature classifier cannot score, which is the genuine-panic vector
 /// the isolation test exploits.
 fn toy_model(subset: Option<Vec<usize>>) -> ServeModel {
+    ServeModel::from_artifact(toy_artifact(subset)).expect("reconstruct")
+}
+
+/// The artifact behind [`toy_model`], before it becomes a model.
+fn toy_artifact(subset: Option<Vec<usize>>) -> ModelArtifact {
     let data = Dataset::new(
         vec![
             vec![0.0, 1.0],
@@ -36,7 +41,7 @@ fn toy_model(subset: Option<Vec<usize>>) -> ServeModel {
     Classifier::fit(&mut nn, &data);
     let state = Classifier::save(&nn);
     let fp = model_fingerprint(dataset_fingerprint(&data), subset.as_deref(), &state);
-    ServeModel::from_artifact(ModelArtifact::new("NN", subset, fp, state)).expect("reconstruct")
+    ModelArtifact::new("NN", subset, fp, state)
 }
 
 fn feature_request(id: f64, rows: Vec<Vec<f64>>) -> String {
@@ -56,73 +61,6 @@ fn error_code(line: &str) -> String {
     match parse_response(line) {
         Response::Error { code, .. } => code.expect("structured error code"),
         other => panic!("expected an error answer, got {other:?}"),
-    }
-}
-
-#[test]
-fn oversized_and_torn_frames_answer_errors_and_resync() {
-    let model = toy_model(Some(vec![0, 1]));
-    let opts = ServeOptions {
-        limits: ServeLimits {
-            max_frame: 256,
-            ..ServeLimits::default()
-        },
-        ..ServeOptions::quiet()
-    };
-
-    let mut input = Vec::new();
-    let good = |id| {
-        Request::Features {
-            id: Json::Num(id),
-            rows: vec![vec![0.0, 1.0], vec![5.0, -2.0]],
-        }
-        .to_json()
-    };
-    loopml_serve::write_frame(&mut input, &good(0.0)).unwrap();
-    // An oversized frame: a valid header whose payload is over the cap.
-    input.extend_from_slice(&300u32.to_be_bytes());
-    input.extend_from_slice(&vec![b'x'; 300]);
-    // The transport must resync onto this well-formed frame...
-    loopml_serve::write_frame(&mut input, &good(1.0)).unwrap();
-    // ...and a torn final frame (header promises 50 bytes, EOF after 5)
-    // is a decode defect, not a transport death.
-    input.extend_from_slice(&50u32.to_be_bytes());
-    input.extend_from_slice(b"{\"id\"");
-
-    let mut out = Vec::new();
-    let stats = serve_framed_with(&model, &opts, &input[..], &mut out).expect("serve");
-    assert_eq!(stats.batches, 4);
-    assert_eq!(stats.errors, 2);
-    assert_eq!(stats.predictions, 4);
-
-    let mut r = &out[..];
-    let mut responses = Vec::new();
-    while let Some(doc) = read_frame(&mut r).expect("response frame") {
-        responses.push(Response::from_json(&doc).expect("response"));
-    }
-    let want = Response::Factors {
-        id: Json::Num(0.0),
-        factors: vec![1, 2],
-    };
-    assert_eq!(responses.len(), 4);
-    assert_eq!(responses[0], want);
-    match &responses[1] {
-        Response::Error { code, message, .. } => {
-            assert_eq!(code.as_deref(), Some(code::LIMIT_FRAME));
-            assert!(message.contains("256"), "{message}");
-        }
-        other => panic!("expected the frame-limit error, got {other:?}"),
-    }
-    assert_eq!(
-        responses[2],
-        Response::Factors {
-            id: Json::Num(1.0),
-            factors: vec![1, 2],
-        }
-    );
-    match &responses[3] {
-        Response::Error { code, .. } => assert_eq!(code.as_deref(), Some(code::DECODE)),
-        other => panic!("expected the torn-frame error, got {other:?}"),
     }
 }
 
@@ -241,11 +179,29 @@ fn a_genuine_panic_in_predict_is_answered_not_fatal() {
             assert_eq!(id, Json::Num(3.0));
             assert_eq!(code.as_deref(), Some(loopml_serve::code::PANIC));
             assert!(message.contains("prediction panicked"), "{message}");
+            // A one-row batch predicts on the daemon's own thread, so
+            // the answer carries the classifier's own panic text.
+            assert!(message.contains("NN fitted on 2 features"), "{message}");
         }
         other => panic!("expected the panic answer, got {other:?}"),
     }
     let pong = Json::parse(lines[1]).unwrap();
     assert_eq!(pong.get("control").and_then(Json::as_str), Some("pong"));
+}
+
+#[test]
+fn out_of_range_feature_subsets_fail_to_load() {
+    // Column 40 is past the 38 features; so is 60. Either would make
+    // every loop query panic, so neither may become a model.
+    for (subset, bad) in [(vec![0, 40], "40"), (vec![0, 60], "60")] {
+        let artifact = toy_artifact(Some(subset));
+        let err = artifact.to_heuristic().unwrap_err();
+        assert!(err.contains(bad), "{err}");
+        let err = ServeModel::from_artifact(artifact).unwrap_err();
+        assert!(err.contains(bad) && err.contains("out of range"), "{err}");
+    }
+    // The last valid column still loads.
+    assert!(toy_artifact(Some(vec![0, 37])).to_heuristic().is_ok());
 }
 
 /// The chaos contract, at 1 and 4 worker threads: under a fault plane

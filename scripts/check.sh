@@ -2,10 +2,10 @@
 # Repository gate: release build, full test suite, the benchmark's own
 # self-tests (perfbench/ is a workspace of its own, so the workspace
 # build never compiles it), clippy, formatting,
-# the corpus lint (loopml-lint must report zero deny diagnostics over
-# the built-in corpus at every unroll factor), the prover gate (the
-# legality-prover scan of the 72-benchmark quick corpus must show zero
-# prover/oracle disagreements, zero denies, and >= 70% affine-corpus
+# the lint and prover gate (`repro lint` verifies every loop's IR and
+# validates every unrollable loop at every unroll factor; over the full
+# corpus and again over the 72-benchmark quick corpus it must show zero
+# denies, zero prover/oracle disagreements, and >= 70% affine-corpus
 # coverage), the sweep
 # gate (the smoke-scale `repro sweep` must select hyperparameters with
 # exactly one pairwise distance pass, score at least two model
@@ -40,7 +40,7 @@ cargo test --workspace -q
 cargo test --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
-cargo run --release -p loopml-lint
+cargo run --release -p loopml-bench --bin repro -- lint --stats
 cargo run --release -p loopml-bench --bin repro -- lint --quick --stats
 cargo run --release -p loopml-bench --bin repro -- sweep --smoke
 
