@@ -16,7 +16,7 @@ use loopml_corpus::full_suite;
 use loopml_ir::Benchmark;
 use loopml_lint::{legality, LegalityStats, OracleMode, Report};
 use loopml_opt::OptConfig;
-use loopml_rt::{par_map_threads, Json};
+use loopml_rt::{par_map, Json};
 
 use crate::Scale;
 
@@ -107,19 +107,8 @@ impl LintScan {
 /// that are not unrollable are only verified: the pipeline validation
 /// verifies the others itself.
 pub fn scan_suite(suite: &[Benchmark], max_factor: u32, mode: OracleMode) -> LintScan {
-    scan_suite_threads(suite, max_factor, mode, loopml_rt::num_threads())
-}
-
-/// [`scan_suite`] with an explicit worker count (used by the
-/// thread-invariance tests).
-pub fn scan_suite_threads(
-    suite: &[Benchmark],
-    max_factor: u32,
-    mode: OracleMode,
-    threads: usize,
-) -> LintScan {
     let opt = OptConfig::default();
-    let per_bench = par_map_threads(threads, suite, |b| {
+    let per_bench = par_map(suite, |b| {
         let mut stats = LegalityStats::default();
         let mut report = Report::with_env_suppressions();
         let mut indirect = 0usize;
@@ -183,6 +172,7 @@ pub fn run_lint(scale: Scale, take: Option<usize>, corpus_scale: usize) -> LintS
 mod tests {
     use super::*;
     use loopml_corpus::SuiteConfig;
+    use loopml_rt::with_threads;
 
     fn small_suite() -> Vec<Benchmark> {
         let mut suite = full_suite(&SuiteConfig {
@@ -238,9 +228,11 @@ mod tests {
     #[test]
     fn scan_is_thread_invariant() {
         let suite = small_suite();
-        let a = scan_suite_threads(&suite, 4, OracleMode::ProverGated, 1);
+        let scan =
+            |threads| with_threads(threads, || scan_suite(&suite, 4, OracleMode::ProverGated));
+        let a = scan(1);
         for threads in [2, 5] {
-            let b = scan_suite_threads(&suite, 4, OracleMode::ProverGated, threads);
+            let b = scan(threads);
             assert_eq!(a.stats, b.stats);
             assert_eq!(a.to_json().to_string(), b.to_json().to_string());
         }

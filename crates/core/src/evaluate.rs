@@ -9,13 +9,13 @@
 //! footprint every loop contends with.
 
 use loopml_ir::Benchmark;
-use loopml_machine::{icache_entry_cost, loop_cost, MachineConfig, NoiseModel, SwpMode};
-use loopml_opt::{unroll_and_optimize, OptConfig};
+use loopml_machine::{icache_entry_cost, MachineConfig, NoiseModel, SwpMode};
+use loopml_opt::OptConfig;
 use loopml_rt::fault::site;
 use loopml_rt::{fault_key_str, FaultPlane, Rng};
 
 use crate::heuristics::UnrollHeuristic;
-use crate::label::MAX_UNROLL;
+use crate::label::{hot_footprint, variant_cycles, FACTORS, MAX_UNROLL};
 
 /// Evaluation configuration (machine + measurement regime).
 #[derive(Debug, Clone)]
@@ -84,26 +84,14 @@ pub fn run_benchmark(b: &Benchmark, choices: &[u32], ec: &EvalConfig) -> f64 {
     let mut code_bytes = Vec::with_capacity(b.len());
     for (w, &choice) in b.loops.iter().zip(choices) {
         let factor = if w.body.is_unrollable() { choice } else { 1 };
-        let rolled = unroll_and_optimize(&w.body, 1, &ec.opt);
-        let rc = loop_cost(&rolled, 0.0, &ec.machine, ec.swp);
-        let r_total = rc.total(rolled.body.trip_count.dynamic(), w.entries);
-        let (c_total, bytes) = if factor == 1 {
-            (r_total, rc.code_bytes)
-        } else {
-            let u = unroll_and_optimize(&w.body, factor, &ec.opt);
-            let c = loop_cost(&u, rc.per_iter, &ec.machine, ec.swp);
-            (
-                c.total(u.body.trip_count.dynamic(), w.entries),
-                c.code_bytes,
-            )
-        };
-        rolled_cycles.push(r_total);
-        chosen_cycles.push(c_total);
+        let [(rolled, _), (chosen, bytes)] =
+            variant_cycles(w, [1, factor], None, &ec.opt, &ec.machine, ec.swp);
+        rolled_cycles.push(rolled);
+        chosen_cycles.push(chosen);
         code_bytes.push(bytes);
     }
     let rolled_loop_bytes: u64 = b.iter().map(|w| w.body.code_bytes()).sum();
-    let footprint: u64 =
-        code_bytes.iter().sum::<u64>() + crate::label::hot_footprint(b) - rolled_loop_bytes;
+    let footprint: u64 = code_bytes.iter().sum::<u64>() + hot_footprint(b) - rolled_loop_bytes;
 
     // Pass 2: weight calibration at the rolled baseline. `scale[i]`
     // converts one simulated run of loop i into its share of the
@@ -132,29 +120,22 @@ pub fn measure_benchmark(b: &Benchmark, h: &dyn UnrollHeuristic, ec: &EvalConfig
 }
 
 /// Oracle choices: per-loop exhaustive search under the same metric the
-/// labels use — loop cycles plus the instruction-cache entry cost in the
-/// benchmark's rolled footprint context (the paper's per-loop-independence
-/// assumption: each loop is optimized as if the others stayed put).
+/// labels use — the noise-free cycles the labeler observes, loop cycles
+/// plus the instruction-cache entry cost in the benchmark's rolled
+/// footprint context (the paper's per-loop-independence assumption: each
+/// loop is optimized as if the others stayed put). Ties keep the smaller
+/// factor.
 pub fn oracle_choices(b: &Benchmark, ec: &EvalConfig) -> Vec<u32> {
-    let footprint = crate::label::hot_footprint(b);
+    let footprint = hot_footprint(b);
     b.loops
         .iter()
         .map(|w| {
             if !w.body.is_unrollable() {
                 return 1;
             }
-            let entries = w.entries as f64;
-            let rolled = unroll_and_optimize(&w.body, 1, &ec.opt);
-            let rc = loop_cost(&rolled, 0.0, &ec.machine, ec.swp);
-            let total = |c: &loopml_machine::LoopCost, trips: u64| {
-                c.total(trips, w.entries)
-                    + icache_entry_cost(c.code_bytes, footprint, &ec.machine) * entries
-            };
-            let mut best = (1u32, total(&rc, rolled.body.trip_count.dynamic()));
-            for f in 2..=MAX_UNROLL {
-                let u = unroll_and_optimize(&w.body, f, &ec.opt);
-                let c = loop_cost(&u, rc.per_iter, &ec.machine, ec.swp);
-                let t = total(&c, u.body.trip_count.dynamic());
+            let cycles = variant_cycles(w, FACTORS, Some(footprint), &ec.opt, &ec.machine, ec.swp);
+            let mut best = (1u32, cycles[0].0);
+            for (f, &(t, _)) in FACTORS.into_iter().zip(&cycles).skip(1) {
                 if t < best.1 {
                     best = (f, t);
                 }

@@ -2,12 +2,12 @@
 //! and deriving the training label (paper §4.4–§4.6).
 //!
 //! For each unrollable loop, the eight variants (factors 1..=8) are
-//! compiled (unroll + scalar replacement + coalescing), costed on the
-//! machine model, observed through the measurement-noise model (median of
-//! N runs, as the paper's instrumentation does), and the fastest factor
-//! becomes the label. Loops are filtered like the paper's: they must run
-//! at least 50,000 cycles, and the best factor must beat the mean of all
-//! factors by at least 1.05x.
+//! compiled (unroll + scalar replacement + coalescing) and costed on the
+//! machine model once, then observed through the measurement-noise model
+//! (median of N runs, as the paper's instrumentation does), and the
+//! fastest factor becomes the label. Loops are filtered like the
+//! paper's: they must run at least 50,000 cycles, and the best factor
+//! must beat the mean of all factors by at least 1.05x.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -17,7 +17,7 @@ use loopml_lint::{validate_pipeline, LintLevel};
 use loopml_machine::{icache_entry_cost, loop_cost, MachineConfig, NoiseModel, SwpMode};
 use loopml_opt::{unroll_and_optimize, OptConfig};
 use loopml_rt::fault::site;
-use loopml_rt::{fault_key, num_threads, par_map_result_threads, FaultPlane, Rng};
+use loopml_rt::{fault_key, par_map_result, FaultPlane, Rng};
 
 use crate::checkpoint::{config_fingerprint, read_checkpoint, write_checkpoint};
 use crate::fault::{
@@ -28,6 +28,9 @@ use crate::features::extract;
 /// Largest unroll factor measured (factors beyond eight did not compile
 /// in the paper's infrastructure, and the classifier inherits the limit).
 pub const MAX_UNROLL: u32 = 8;
+
+/// Every measured factor, `1..=MAX_UNROLL`.
+pub(crate) const FACTORS: [u32; MAX_UNROLL as usize] = [1, 2, 3, 4, 5, 6, 7, 8];
 
 /// Hot instruction footprint of a benchmark at its rolled configuration:
 /// the loops themselves plus the surrounding non-loop code, estimated
@@ -120,24 +123,38 @@ impl LabeledLoop {
     }
 }
 
-/// Measures the *true* (noise-free) total cycles of one weighted loop at
-/// one unroll factor, including instruction-cache entry effects under the
-/// given hot-code footprint.
-pub fn true_cycles(w: &WeightedLoop, factor: u32, footprint: u64, cfg: &LabelConfig) -> f64 {
-    if cfg.lint.is_enabled() {
-        validate_pipeline(&w.body, factor, &cfg.opt).enforce(cfg.lint, &w.body.name);
-    }
-    let rolled = unroll_and_optimize(&w.body, 1, &cfg.opt);
-    let rolled_cost = loop_cost(&rolled, 0.0, &cfg.machine, cfg.swp);
-    let (cost, trips) = if factor == 1 {
-        (rolled_cost, rolled.body.trip_count.dynamic())
-    } else {
-        let u = unroll_and_optimize(&w.body, factor, &cfg.opt);
-        let c = loop_cost(&u, rolled_cost.per_iter, &cfg.machine, cfg.swp);
-        (c, u.body.trip_count.dynamic())
-    };
-    let icache = icache_entry_cost(cost.code_bytes, footprint, &cfg.machine);
-    cost.total(trips, w.entries) + icache * w.entries as f64
+/// The costing rule for unroll variants, shared by labeling, the oracle
+/// and whole-benchmark evaluation. Builds `w`'s rolled variant once and
+/// costs each of `factors` with [`loop_cost`] against the rolled
+/// per-iteration cycles (factor 1 is the rolled variant itself).
+/// Returns, per factor, the noise-free cycles of all of `w`'s entries and
+/// the variant's code bytes. With a `footprint`, the cycles include the
+/// instruction-cache entry cost under that hot-code footprint; without
+/// one, the caller adds it under a footprint of its own.
+pub(crate) fn variant_cycles<const N: usize>(
+    w: &WeightedLoop,
+    factors: [u32; N],
+    footprint: Option<u64>,
+    opt: &OptConfig,
+    machine: &MachineConfig,
+    swp: SwpMode,
+) -> [(f64, u64); N] {
+    let rolled = unroll_and_optimize(&w.body, 1, opt);
+    let rolled_cost = loop_cost(&rolled, 0.0, machine, swp);
+    factors.map(|factor| {
+        let (cost, trips) = if factor == 1 {
+            (rolled_cost, rolled.body.trip_count.dynamic())
+        } else {
+            let u = unroll_and_optimize(&w.body, factor, opt);
+            let c = loop_cost(&u, rolled_cost.per_iter, machine, swp);
+            (c, u.body.trip_count.dynamic())
+        };
+        let mut cycles = cost.total(trips, w.entries);
+        if let Some(footprint) = footprint {
+            cycles += icache_entry_cost(cost.code_bytes, footprint, machine) * w.entries as f64;
+        }
+        (cycles, cost.code_bytes)
+    })
 }
 
 /// The noise-stream seed for one labeling attempt. Attempt 0 uses the
@@ -153,29 +170,30 @@ pub fn attempt_seed(cfg_seed: u64, benchmark_index: usize, loop_index: usize, at
     }
 }
 
-/// One labeling attempt of one loop: measures all eight factors through
-/// the noise model and applies the paper's filters. `Ok(None)` means the
-/// loop was dropped by the filters (not a failure); `Err` reports an
-/// injected fault from `faults` (site [`site::LABEL_MEASURE`], keyed by
-/// `(benchmark, loop, factor, attempt)`) or a non-finite measurement.
+/// One labeling attempt of one loop: observes its noise-free cycles at
+/// all eight factors (`truth`) through the noise model and applies the
+/// paper's filters. `Ok(None)` means the loop was dropped by the filters
+/// (not a failure); `Err` reports an injected fault from `faults` (site
+/// [`site::LABEL_MEASURE`], keyed by `(benchmark, loop, factor,
+/// attempt)`) or a non-finite measurement.
 ///
 /// The noise stream is seeded by [`attempt_seed`] alone, so every loop's
 /// measurements are independent of which other loops are labeled — and
 /// of the order or thread they are labeled on. That per-loop
 /// independence is what makes labeling bit-identical at any worker
 /// count.
-pub fn label_loop_attempt(
+fn label_attempt(
     w: &WeightedLoop,
     loop_index: usize,
     benchmark_index: usize,
-    footprint: u64,
+    truth: &[f64; MAX_UNROLL as usize],
     cfg: &LabelConfig,
     faults: &FaultPlane,
     attempt: u32,
 ) -> Result<Option<LabeledLoop>, LabelError> {
     let mut rng = Rng::seed_from_u64(attempt_seed(cfg.seed, benchmark_index, loop_index, attempt));
     let mut runtimes = [0.0f64; MAX_UNROLL as usize];
-    for f in 1..=MAX_UNROLL {
+    for (f, &cycles) in FACTORS.into_iter().zip(truth) {
         faults
             .check(
                 site::LABEL_MEASURE,
@@ -190,8 +208,7 @@ pub fn label_loop_attempt(
                 site: fault.site,
                 attempt,
             })?;
-        let truth = true_cycles(w, f, footprint, cfg);
-        let measured = cfg.noise.measure(truth, &mut rng);
+        let measured = cfg.noise.measure(cycles, &mut rng);
         if !measured.is_finite() {
             return Err(LabelError::NonFinite { factor: f });
         }
@@ -239,8 +256,6 @@ pub struct ResilienceConfig {
     pub ckpt_dir: Option<PathBuf>,
     /// Reuse valid checkpoints from `ckpt_dir` instead of relabeling.
     pub resume: bool,
-    /// Worker threads across benchmarks (0 → [`num_threads`]).
-    pub threads: usize,
 }
 
 impl Default for ResilienceConfig {
@@ -250,7 +265,6 @@ impl Default for ResilienceConfig {
             retry_budget: DEFAULT_RETRY_BUDGET,
             ckpt_dir: None,
             resume: false,
-            threads: 0,
         }
     }
 }
@@ -317,13 +331,15 @@ pub struct LabelRun {
 
 /// Labels every unrollable loop of a benchmark, applying the paper's
 /// filters. `benchmark_index` is recorded in each example for the
-/// leave-one-benchmark-out protocol. Transient faults at
-/// [`site::LABEL_MEASURE`] consume the loop's retry budget (each retry
-/// re-measures under a fresh deterministic seed — see [`attempt_seed`]);
-/// a loop that exhausts it is quarantined, not fatal. The
-/// [`site::LABEL_LOOP`] injection site (keyed by benchmark index) trips
-/// *here*, as a panic, modelling a benchmark whose labeling process
-/// crashes outright — the suite-level isolation in
+/// leave-one-benchmark-out protocol. Each loop's eight variants are
+/// validated first (under [`LabelConfig::lint`]), then costed once;
+/// every attempt observes those cycles through fresh noise. Transient
+/// faults at [`site::LABEL_MEASURE`] consume the loop's retry budget
+/// (each retry re-measures under a fresh deterministic seed — see
+/// [`attempt_seed`]); a loop that exhausts it is quarantined, not
+/// fatal. The [`site::LABEL_LOOP`] injection site (keyed by benchmark
+/// index) trips *here*, as a panic, modelling a benchmark whose labeling
+/// process crashes outright — the suite-level isolation in
 /// [`label_suite_resilient`] catches it and quarantines the whole
 /// benchmark.
 pub fn label_benchmark(
@@ -343,9 +359,16 @@ pub fn label_benchmark(
         fault_sites: BTreeMap::new(),
     };
     'loops: for (li, w) in b.unrollable() {
+        if cfg.lint.is_enabled() {
+            for f in FACTORS {
+                validate_pipeline(&w.body, f, &cfg.opt).enforce(cfg.lint, &w.body.name);
+            }
+        }
+        let truth = variant_cycles(w, FACTORS, Some(footprint), &cfg.opt, &cfg.machine, cfg.swp)
+            .map(|(cycles, _)| cycles);
         let mut last = None;
         for attempt in 0..=res.retry_budget {
-            match label_loop_attempt(w, li, benchmark_index, footprint, cfg, &res.faults, attempt) {
+            match label_attempt(w, li, benchmark_index, &truth, cfg, &res.faults, attempt) {
                 Ok(labeled) => {
                     if let Some(l) = labeled {
                         outcome.labeled.push(l);
@@ -397,11 +420,6 @@ pub fn label_suite_resilient(
     shard: Option<Shard>,
 ) -> LabelRun {
     let fingerprint = config_fingerprint(cfg, res.retry_budget, &res.faults);
-    let threads = if res.threads == 0 {
-        num_threads()
-    } else {
-        res.threads
-    };
     let owned = |bi: usize| shard.is_none_or(|s| s.owns(bi));
     let owned_count = (0..suite.len()).filter(|&bi| owned(bi)).count();
 
@@ -425,7 +443,7 @@ pub fn label_suite_resilient(
         .enumerate()
         .filter(|&(bi, _)| owned(bi) && outcomes[bi].is_none())
         .collect();
-    let results = par_map_result_threads(threads, &todo, |&(bi, b)| {
+    let results = par_map_result(&todo, |&(bi, b)| {
         let outcome = label_benchmark(b, bi, cfg, res);
         if let Some(dir) = &res.ckpt_dir {
             if let Err(e) = write_checkpoint(dir, &outcome, fingerprint) {
@@ -541,7 +559,6 @@ pub fn label_suite(suite: &[Benchmark], cfg: &LabelConfig) -> Vec<LabeledLoop> {
         retry_budget: DEFAULT_RETRY_BUDGET,
         ckpt_dir: None,
         resume: false,
-        threads: 0,
     };
     let run = label_suite_resilient(suite, cfg, &res, None);
     fail_on_crash(&run.report);
@@ -552,6 +569,7 @@ pub fn label_suite(suite: &[Benchmark], cfg: &LabelConfig) -> Vec<LabeledLoop> {
 mod tests {
     use super::*;
     use loopml_corpus::{synthesize, SuiteConfig, ROSTER};
+    use loopml_rt::with_threads;
 
     fn quick_cfg() -> LabelConfig {
         LabelConfig {
@@ -663,26 +681,29 @@ mod tests {
             .collect()
     }
 
-    fn resilient(faults: FaultPlane, threads: usize) -> ResilienceConfig {
+    fn resilient(faults: FaultPlane) -> ResilienceConfig {
         ResilienceConfig {
             faults,
-            threads,
             ..ResilienceConfig::default()
         }
+    }
+
+    /// [`label_suite_resilient`] over the whole suite on `threads`
+    /// workers.
+    fn run_on(
+        threads: usize,
+        suite: &[Benchmark],
+        cfg: &LabelConfig,
+        res: &ResilienceConfig,
+    ) -> LabelRun {
+        with_threads(threads, || label_suite_resilient(suite, cfg, res, None))
     }
 
     #[test]
     fn fault_free_runs_are_thread_invariant() {
         let suite = suite();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
-        let run = |threads| {
-            label_suite_resilient(
-                &suite,
-                &cfg,
-                &resilient(FaultPlane::disabled(), threads),
-                None,
-            )
-        };
+        let run = |threads| run_on(threads, &suite, &cfg, &resilient(FaultPlane::disabled()));
         let reference = run(1);
         assert!(!reference.labeled.is_empty());
         assert!(reference.attempts.iter().all(|&a| a == 0));
@@ -718,7 +739,7 @@ mod tests {
         let suite = suite();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
         let all = FaultPlane::new(1, 1.0).at_site(site::LABEL_MEASURE);
-        let run = label_suite_resilient(&suite, &cfg, &resilient(all, 1), None);
+        let run = run_on(1, &suite, &cfg, &resilient(all));
         assert!(run.labeled.is_empty());
         assert!(!run.report.quarantined.is_empty());
         assert!(run
@@ -739,7 +760,7 @@ mod tests {
         // makes eight faultable measurements per attempt, so even a 10%
         // rate faults most first attempts.)
         let some = FaultPlane::new(7, 0.1).at_site(site::LABEL_MEASURE);
-        let run = label_suite_resilient(&suite, &cfg, &resilient(some, 1), None);
+        let run = run_on(1, &suite, &cfg, &resilient(some));
         assert!(!run.labeled.is_empty());
         assert!(run.attempts.iter().any(|&a| a > 0), "some retries expected");
         assert!(run.report.fault_sites.contains_key(site::LABEL_MEASURE));
@@ -750,9 +771,9 @@ mod tests {
         let suite = suite();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
         let plane = || FaultPlane::new(0xC4A05, 0.25);
-        let reference = label_suite_resilient(&suite, &cfg, &resilient(plane(), 1), None);
+        let reference = run_on(1, &suite, &cfg, &resilient(plane()));
         for threads in [2, 4] {
-            let run = label_suite_resilient(&suite, &cfg, &resilient(plane(), threads), None);
+            let run = run_on(threads, &suite, &cfg, &resilient(plane()));
             assert_eq!(run, reference, "chaos diverged at {threads} threads");
         }
     }
@@ -764,7 +785,7 @@ mod tests {
         let plane = FaultPlane::new(0, 1.0)
             .at_site(site::LABEL_LOOP)
             .only_keys(vec![1]);
-        let run = label_suite_resilient(&suite, &cfg, &resilient(plane, 4), None);
+        let run = run_on(4, &suite, &cfg, &resilient(plane));
         let bench_q: Vec<_> = run
             .report
             .quarantined
@@ -781,7 +802,7 @@ mod tests {
         let alone: Vec<LabeledLoop> = [0usize, 2]
             .into_iter()
             .flat_map(|bi| {
-                label_benchmark(&suite[bi], bi, &cfg, &resilient(FaultPlane::disabled(), 1)).labeled
+                label_benchmark(&suite[bi], bi, &cfg, &resilient(FaultPlane::disabled())).labeled
             })
             .collect();
         assert_eq!(run.labeled, alone);
@@ -797,7 +818,7 @@ mod tests {
         };
         // The engine isolates the crash and records it, as `repro label`
         // reports it...
-        let run = label_suite_resilient(&suite, &cfg, &resilient(FaultPlane::disabled(), 2), None);
+        let run = run_on(2, &suite, &cfg, &resilient(FaultPlane::disabled()));
         let q = &run.report.quarantined;
         assert_eq!(q.len(), 1, "{q:?}");
         assert_eq!(q[0].scope, QuarantineScope::Benchmark);
@@ -827,12 +848,17 @@ mod tests {
     fn sharded_runs_partition_the_single_process_run() {
         let suite = suite();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
-        let res = resilient(FaultPlane::disabled(), 2);
-        let full = label_suite_resilient(&suite, &cfg, &res, None);
+        let res = resilient(FaultPlane::disabled());
+        let (full, shards) = with_threads(2, || {
+            let full = label_suite_resilient(&suite, &cfg, &res, None);
+            let shards: Vec<LabelRun> = (0..2)
+                .map(|index| {
+                    label_suite_resilient(&suite, &cfg, &res, Some(Shard { index, count: 2 }))
+                })
+                .collect();
+            (full, shards)
+        });
         let count = 2;
-        let shards: Vec<LabelRun> = (0..count)
-            .map(|index| label_suite_resilient(&suite, &cfg, &res, Some(Shard { index, count })))
-            .collect();
 
         // Each shard's labels are the exact sub-sequence the full run
         // produced for its benchmarks, bit for bit.
@@ -871,10 +897,9 @@ mod tests {
         let full = ResilienceConfig {
             faults: FaultPlane::disabled(),
             ckpt_dir: Some(dir.clone()),
-            threads: 2,
             ..ResilienceConfig::default()
         };
-        let clean = label_suite_resilient(&suite, &cfg, &full, None);
+        let clean = run_on(2, &suite, &cfg, &full);
 
         // Overwrite the first value of `key` in benchmark `bi`'s
         // checkpoint: a corrupt count must be relabeled, never truncated
@@ -893,7 +918,7 @@ mod tests {
             resume: true,
             ..full
         };
-        let resumed = label_suite_resilient(&suite, &cfg, &resume, None);
+        let resumed = run_on(2, &suite, &cfg, &resume);
         assert_eq!(resumed.report.resumed, suite.len() - 2);
         assert_eq!(resumed.labeled, clean.labeled);
         assert_eq!(resumed.attempts, clean.attempts);
@@ -910,10 +935,9 @@ mod tests {
         let full = ResilienceConfig {
             faults: plane(),
             ckpt_dir: Some(dir.clone()),
-            threads: 2,
             ..ResilienceConfig::default()
         };
-        let clean = label_suite_resilient(&suite, &cfg, &full, None);
+        let clean = run_on(2, &suite, &cfg, &full);
 
         // Simulate dying partway: drop one checkpoint, resume.
         std::fs::remove_file(crate::checkpoint::checkpoint_path(&dir, 1, &suite[1].name))
@@ -922,7 +946,7 @@ mod tests {
             resume: true,
             ..full
         };
-        let resumed = label_suite_resilient(&suite, &cfg, &resume, None);
+        let resumed = run_on(2, &suite, &cfg, &resume);
         assert_eq!(resumed.labeled, clean.labeled);
         assert_eq!(resumed.attempts, clean.attempts);
         assert_eq!(resumed.report.resumed, 2);

@@ -88,9 +88,8 @@ pub use heuristics::{
     LearnedHeuristic, OrcClassifier, OrcHeuristic, OrcSwpHeuristic, UnrollHeuristic,
 };
 pub use label::{
-    attempt_seed, hot_footprint, label_benchmark, label_loop_attempt, label_suite,
-    label_suite_resilient, LabelConfig, LabelRun, LabeledLoop, ResilienceConfig, Shard,
-    DEFAULT_RETRY_BUDGET, MAX_UNROLL,
+    attempt_seed, hot_footprint, label_benchmark, label_suite, label_suite_resilient, LabelConfig,
+    LabelRun, LabeledLoop, ResilienceConfig, Shard, DEFAULT_RETRY_BUDGET, MAX_UNROLL,
 };
 pub use pipeline::{
     benchmark_groups, informative_features, loocv_accuracy, svm_training_error, to_dataset,

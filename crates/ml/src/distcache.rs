@@ -1,5 +1,5 @@
 //! Incremental pairwise-distance caching — the algebra that makes greedy
-//! feature selection and kernel re-computation cheap.
+//! feature selection cheap.
 //!
 //! Squared Euclidean distance over a feature subset `S` is *additive
 //! across features*:
@@ -12,9 +12,11 @@
 //! feature `f`'s own n×n contribution. [`FeatureDistCache`] exploits
 //! this: it normalizes the data once and keeps each feature's normalized
 //! column — an exact rank-1 factoring of that feature's contribution
-//! matrix (`(col[i] − col[j])²`) — so greedy forward selection evaluates
-//! every candidate subset `S ∪ {f}` with an O(n²) accumulate instead of
-//! an O(n²·|S|) recompute.
+//! matrix (`(col[i] − col[j])²`) — so greedy forward selection holds the
+//! accumulated matrix of `S` in row strips, adds each chosen feature to
+//! it once, and evaluates every candidate subset `S ∪ {f}` with an O(n²)
+//! scan instead of an O(n²·|S|) recompute. Past the memory budget the
+//! strips are dropped after each round and rebuilt the next.
 //!
 //! The columns are deliberately *not* expanded into dense per-feature
 //! matrices: at full-corpus scale those are `d·n²·8 ≈ 3.6 GB` and every
@@ -28,15 +30,17 @@
 //! `select_features` subset — the cached contributions are exact for
 //! every subset.
 //!
-//! [`DistanceMatrix`] is the companion full-subset cache: compute the
-//! pairwise distances once, then derive an RBF kernel for *any* gamma via
-//! [`crate::KernelCache::from_distances`] without re-touching feature
-//! vectors. The LOGO sweep derives its kernels from the same distances
-//! streamed row by row, so it never holds the n×n matrix.
+//! [`DistanceMatrix`] is the full pairwise matrix, materialized, and
+//! [`crate::KernelCache::from_distances`] derives an RBF kernel from it.
+//! The program builds neither: the LOGO sweep streams the same distances
+//! row by row and writes its kernels in place. Both stay as the
+//! bit-identity reference of the tests and of perfbench's distance and
+//! kernel probes.
 
 use crate::dataset::{dist2, Dataset, MinMaxNormalizer};
 use loopml_rt::par_map_threads;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Process-global count of [`DistanceMatrix::compute`] invocations. The
 /// sweep subsystem's whole premise is "one distance pass, many kernels";
@@ -258,6 +262,36 @@ pub struct FeatureDistCache {
     labels: Vec<usize>,
 }
 
+/// Rows `lo..hi` of the accumulated distance matrix of the features
+/// greedy selection has chosen: `sums` holds the first `summed` chosen
+/// features' contributions, row-major, or is `None` while the strip is
+/// dropped (then `summed` is 0).
+pub(crate) struct Strip {
+    lo: usize,
+    hi: usize,
+    summed: usize,
+    sums: Option<(Vec<f64>, DistAlloc)>,
+}
+
+impl Strip {
+    /// Dropped strips of `rows` rows each (at least one; the last may be
+    /// shorter) covering `0..n`.
+    pub(crate) fn cover(n: usize, rows: usize) -> Vec<Mutex<Strip>> {
+        let rows = rows.max(1);
+        (0..n)
+            .step_by(rows)
+            .map(|lo| {
+                Mutex::new(Strip {
+                    lo,
+                    hi: (lo + rows).min(n),
+                    summed: 0,
+                    sums: None,
+                })
+            })
+            .collect()
+    }
+}
+
 impl FeatureDistCache {
     /// Normalizes `data` (per-column min-max, exactly as every classifier
     /// in this crate does) and caches the per-feature columns.
@@ -292,136 +326,33 @@ impl FeatureDistCache {
         self.d
     }
 
-    /// Adds feature `f`'s pairwise contribution into `base` (a flat n×n
-    /// matrix): afterwards `base[i*n+j] += (x[i][f] − x[j][f])²`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is out of range or `base` has the wrong length.
-    pub fn accumulate(&self, f: usize, base: &mut [f64]) {
-        assert!(f < self.d, "feature index out of range");
-        assert_eq!(base.len(), self.n * self.n, "base must be n×n");
-        let col = &self.cols[f * self.n..(f + 1) * self.n];
-        for i in 0..self.n {
-            let ci = col[i];
-            let row = &mut base[i * self.n..(i + 1) * self.n];
-            for (b, &cj) in row.iter_mut().zip(col) {
-                let d = ci - cj;
-                *b += d * d;
-            }
-        }
-    }
-
-    /// Leave-self-out 1-NN training error of the subset `S ∪ {f}`, where
-    /// `base` is the accumulated distance matrix of `S` (all zeros for
-    /// the empty set). O(n²), no allocation: the candidate's contribution
-    /// is fused into the nearest-neighbor scan instead of being written
-    /// anywhere. Nearest-neighbor ties break toward the lower index,
-    /// exactly like [`crate::nn1_training_error`]'s scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is out of range or `base` has the wrong length.
-    pub fn nn1_error_with(&self, base: &[f64], f: usize) -> f64 {
-        assert!(f < self.d, "feature index out of range");
-        assert_eq!(base.len(), self.n * self.n, "base must be n×n");
-        let n = self.n;
-        if n < 2 {
-            return 1.0;
-        }
-        let col = &self.cols[f * n..(f + 1) * n];
-        let mut errors = 0usize;
-        for i in 0..n {
-            let brow = &base[i * n..(i + 1) * n];
-            let mut best = (f64::INFINITY, 0usize);
-            let ci = col[i];
-            for j in 0..n {
-                if j == i {
-                    continue;
-                }
-                let d = ci - col[j];
-                let d2 = brow[j] + d * d;
-                if d2 < best.0 {
-                    best = (d2, j);
-                }
-            }
-            if self.labels[best.1] != self.labels[i] {
-                errors += 1;
-            }
-        }
-        errors as f64 / n as f64
-    }
-
     /// Leave-self-out 1-NN training errors of every candidate subset
-    /// `S ∪ {f}`, `f` over `candidates`, in one fused sweep — the hot
-    /// loop of greedy forward selection. Equivalent to calling
-    /// [`nn1_error_with`](Self::nn1_error_with) per candidate but far
-    /// faster: each example's accumulated-distance row is read once and
-    /// scanned for all candidates while it is cache-hot, with a 4-lane
-    /// argmin instead of a branchy per-pair function call. Work is
-    /// parallelized over contiguous example blocks; error counts are
-    /// integers, so any block partition sums to the same result and the
-    /// output is bit-identical for every `threads` value.
+    /// `S ∪ {f}`, `f` over `candidates`, where `S` is `selected` in
+    /// selection order: the hot loop of greedy forward selection. The
+    /// accumulated distance matrix of `S` lives in row `strips`, one work
+    /// item each. Each strip adds the selected features it has not summed
+    /// yet (only the newest if it was kept from the last round, all of
+    /// them if it was dropped), scans its rows for every candidate while
+    /// they are cache-hot, and is then kept for the next round if `keep`,
+    /// else dropped: peak memory is `n² · 8` bytes with kept strips and
+    /// `workers · strip rows · n · 8` with dropped ones.
+    ///
+    /// Bit-identical at any strip height, `keep` and `threads`: every
+    /// matrix element is the same left-to-right sum over `S` that
+    /// [`crate::nn1_training_error`] computes, each row's argmin is the
+    /// same two-pass scan, and error counts are integers.
     ///
     /// # Panics
     ///
-    /// Panics if any candidate is out of range or `base` has the wrong
-    /// length.
-    pub fn nn1_errors_batch(&self, base: &[f64], candidates: &[usize], threads: usize) -> Vec<f64> {
-        assert_eq!(base.len(), self.n * self.n, "base must be n×n");
-        for &f in candidates {
-            assert!(f < self.d, "feature index out of range");
-        }
-        let n = self.n;
-        if n < 2 {
-            return vec![1.0; candidates.len()];
-        }
-        let workers = threads.max(1).min(n);
-        let blocks: Vec<(usize, usize)> = (0..workers)
-            .map(|w| {
-                let lo = w * n / workers;
-                let hi = (w + 1) * n / workers;
-                (lo, hi)
-            })
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
-        let counts = par_map_threads(threads, &blocks, |&(lo, hi)| {
-            let mut errs = vec![0u32; candidates.len()];
-            for i in lo..hi {
-                let brow = &base[i * n..(i + 1) * n];
-                self.scan_row_candidates(brow, i, candidates, &mut errs);
-            }
-            errs
-        });
-        Self::sum_error_counts(counts, candidates.len(), n)
-    }
-
-    /// Tiled sibling of [`nn1_errors_batch`](Self::nn1_errors_batch):
-    /// instead of reading a caller-held n×n accumulated matrix, each
-    /// worker materializes only a `tile_rows × n` strip of it (the
-    /// selected features' contributions re-accumulated in selection
-    /// order), scans the strip's rows for every candidate, and drops the
-    /// strip — peak memory is `workers · tile_rows · n · 8` bytes
-    /// instead of `n² · 8`.
-    ///
-    /// Bit-identical to the dense path at any `tile_rows` and any
-    /// `threads`: every matrix element is an independent left-to-right
-    /// sum over the selected features (the same operation sequence
-    /// [`accumulate`](Self::accumulate) performs), and each row's argmin
-    /// is the very same two-pass scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile_rows` is zero or any feature index is out of
-    /// range.
-    pub fn nn1_errors_batch_tiled(
+    /// Panics if any feature index is out of range.
+    pub(crate) fn nn1_errors(
         &self,
+        strips: &[Mutex<Strip>],
         selected: &[usize],
         candidates: &[usize],
-        tile_rows: usize,
+        keep: bool,
         threads: usize,
     ) -> Vec<f64> {
-        assert!(tile_rows > 0, "tile_rows must be positive");
         for &f in selected.iter().chain(candidates) {
             assert!(f < self.d, "feature index out of range");
         }
@@ -429,24 +360,18 @@ impl FeatureDistCache {
         if n < 2 {
             return vec![1.0; candidates.len()];
         }
-        let tile = tile_rows.min(n);
-        let strips: Vec<(usize, usize)> = (0..n)
-            .step_by(tile)
-            .map(|lo| (lo, (lo + tile).min(n)))
-            .collect();
-        let counts = par_map_threads(threads, &strips, |&(lo, hi)| {
-            let rows = hi - lo;
-            let _acct = DistAlloc::new((rows * n * 8) as u64);
-            let mut strip = vec![0.0f64; rows * n];
-            // Accumulate the selected features in selection order — the
-            // same per-element operation sequence the dense accumulate
-            // performs, so every strip element is bitwise equal to the
-            // corresponding dense matrix element.
-            for &f in selected {
+        let counts = par_map_threads(threads, strips, |strip| {
+            let mut guard = strip.lock().expect("no worker panicked holding a strip");
+            let strip = &mut *guard;
+            let (lo, hi) = (strip.lo, strip.hi);
+            let (sums, _acct) = strip.sums.get_or_insert_with(|| {
+                let len = (hi - lo) * n;
+                (vec![0.0f64; len], DistAlloc::new((len * 8) as u64))
+            });
+            for &f in &selected[strip.summed..] {
                 let col = &self.cols[f * n..(f + 1) * n];
-                for (r, i) in (lo..hi).enumerate() {
+                for (row, i) in sums.chunks_exact_mut(n).zip(lo..hi) {
                     let ci = col[i];
-                    let row = &mut strip[r * n..(r + 1) * n];
                     for (b, &cj) in row.iter_mut().zip(col) {
                         let d = ci - cj;
                         *b += d * d;
@@ -454,9 +379,14 @@ impl FeatureDistCache {
                 }
             }
             let mut errs = vec![0u32; candidates.len()];
-            for (r, i) in (lo..hi).enumerate() {
-                let brow = &strip[r * n..(r + 1) * n];
-                self.scan_row_candidates(brow, i, candidates, &mut errs);
+            for (row, i) in sums.chunks_exact(n).zip(lo..hi) {
+                self.scan_row_candidates(row, i, candidates, &mut errs);
+            }
+            if keep {
+                strip.summed = selected.len();
+            } else {
+                strip.sums = None;
+                strip.summed = 0;
             }
             errs
         });
@@ -467,7 +397,7 @@ impl FeatureDistCache {
     /// finds `i`'s nearest neighbor under `S ∪ {f}` for each candidate
     /// `f` (via the shared two-pass argmin) and bumps the candidate's
     /// error if the labels differ. `brow` is row `i` of the accumulated
-    /// matrix of `S` — whether it came from a dense buffer or a strip.
+    /// matrix of `S`.
     fn scan_row_candidates(&self, brow: &[f64], i: usize, candidates: &[usize], errs: &mut [u32]) {
         let n = self.n;
         for (ci, &f) in candidates.iter().enumerate() {
@@ -489,9 +419,9 @@ impl FeatureDistCache {
         }
     }
 
-    /// Sums per-block integer error counts and converts to error rates.
-    /// Integer tallies make the result independent of the block
-    /// partition, hence of `threads` and `tile_rows`.
+    /// Sums per-strip integer error counts and converts to error rates.
+    /// Integer tallies make the result independent of the strip
+    /// partition, hence of `threads` and the strip height.
     fn sum_error_counts(counts: Vec<Vec<u32>>, len: usize, n: usize) -> Vec<f64> {
         let mut total = vec![0u64; len];
         for block in counts {
@@ -594,76 +524,24 @@ mod tests {
         }
     }
 
-    /// The incremental accumulate over random subsets must match a direct
-    /// `dist2` over the subset's normalized columns (within FP
-    /// reassociation tolerance — `dist2` sums lanes, the cache sums in
-    /// selection order).
     #[test]
-    fn accumulated_subsets_match_direct_dist2() {
-        let mut rng = Rng::seed_from_u64(0xCAFE);
-        for _ in 0..10 {
-            let n = rng.gen_range(4..16usize);
-            let d = rng.gen_range(2..9usize);
-            let data = arb_dataset(&mut rng, n, d);
-            let cache = FeatureDistCache::fit(&data);
-            // Random subset, random order.
-            let len = rng.gen_range(1..=d);
-            let mut subset = Vec::new();
-            while subset.len() < len {
-                let f = rng.gen_range(0..d);
-                if !subset.contains(&f) {
-                    subset.push(f);
-                }
-            }
-            let mut base = vec![0.0; n * n];
-            for &f in &subset {
-                cache.accumulate(f, &mut base);
-            }
-            let sub = data.select_features(&subset);
-            let xs = MinMaxNormalizer::fit(&sub.x).transform(&sub.x);
-            for i in 0..n {
-                for j in 0..n {
-                    let direct = dist2(&xs[i], &xs[j]);
-                    let cached = base[i * n + j];
-                    assert!(
-                        (cached - direct).abs() <= 1e-9 * direct.max(1.0),
-                        "subset {subset:?} ({i},{j}): cached {cached} vs direct {direct}"
-                    );
-                }
-            }
+    fn tiny_datasets_report_full_error() {
+        let data = arb_dataset(&mut Rng::seed_from_u64(1), 1, 2);
+        let cache = FeatureDistCache::fit(&data);
+        for keep in [true, false] {
+            let errors = cache.nn1_errors(&Strip::cover(1, 1), &[], &[0, 1], keep, 1);
+            assert_eq!(errors, vec![1.0, 1.0]);
         }
     }
 
-    #[test]
-    fn nn1_error_with_matches_reference() {
-        use crate::feature_select::nn1_training_error;
-        let mut rng = Rng::seed_from_u64(0x5EED);
-        for _ in 0..10 {
-            let n = rng.gen_range(4..20usize);
-            let d = rng.gen_range(1..7usize);
-            let data = arb_dataset(&mut rng, n, d);
-            let cache = FeatureDistCache::fit(&data);
-            // Build up a subset feature by feature, comparing the fused
-            // candidate evaluation against the reference at every step.
-            let mut base = vec![0.0; n * n];
-            let mut subset: Vec<usize> = Vec::new();
-            for f in 0..d {
-                let mut cols = subset.clone();
-                cols.push(f);
-                let reference = nn1_training_error(&data.select_features(&cols));
-                let cached = cache.nn1_error_with(&base, f);
-                assert_eq!(cached, reference, "subset {cols:?}");
-                cache.accumulate(f, &mut base);
-                subset.push(f);
-            }
-        }
-    }
-
-    /// The batched sweep must agree exactly with the per-candidate path —
-    /// at every thread count, and on tie-heavy integer data where argmin
+    /// Every candidate's strip error must equal the direct
+    /// `nn1_training_error` of `S ∪ {f}`, bit for bit, as `S` grows one
+    /// feature a round: at every strip height, kept or dropped, at every
+    /// thread count, and on tie-heavy integer data where argmin
     /// tie-breaking (lowest index wins) actually gets exercised.
     #[test]
-    fn batch_matches_single_candidate_path() {
+    fn strip_errors_match_direct_error_of_every_candidate() {
+        use crate::feature_select::nn1_training_error;
         let mut rng = Rng::seed_from_u64(0x417);
         for round in 0..12 {
             let n = rng.gen_range(4..24usize);
@@ -685,29 +563,31 @@ mod tests {
                 )
             };
             let cache = FeatureDistCache::fit(&data);
-            let mut base = vec![0.0; n * n];
-            if d > 1 {
-                cache.accumulate(d - 1, &mut base);
-            }
-            let candidates: Vec<usize> = (0..d).collect();
-            let single: Vec<f64> = candidates
-                .iter()
-                .map(|&f| cache.nn1_error_with(&base, f))
-                .collect();
-            for threads in [1, 2, 4] {
-                assert_eq!(
-                    cache.nn1_errors_batch(&base, &candidates, threads),
-                    single,
-                    "round {round}, {threads} threads"
-                );
+            for rows in [1, 3, n] {
+                for keep in [true, false] {
+                    for threads in [1, 2, 4] {
+                        let strips = Strip::cover(n, rows);
+                        // Select the features last to first.
+                        let mut selected: Vec<usize> = Vec::new();
+                        for f in (0..d).rev() {
+                            let candidates: Vec<usize> = (0..=f).collect();
+                            let errors =
+                                cache.nn1_errors(&strips, &selected, &candidates, keep, threads);
+                            for (&c, &err) in candidates.iter().zip(&errors) {
+                                let cols: Vec<usize> =
+                                    selected.iter().copied().chain([c]).collect();
+                                let direct = nn1_training_error(&data.select_features(&cols));
+                                assert_eq!(
+                                    err, direct,
+                                    "round {round}, S ∪ {{f}} = {cols:?}, {rows} rows, \
+                                     keep {keep}, {threads} threads"
+                                );
+                            }
+                            selected.push(f);
+                        }
+                    }
+                }
             }
         }
-    }
-
-    #[test]
-    fn tiny_datasets_report_full_error() {
-        let data = arb_dataset(&mut Rng::seed_from_u64(1), 1, 2);
-        let cache = FeatureDistCache::fit(&data);
-        assert_eq!(cache.nn1_error_with(&[0.0], 0), 1.0);
     }
 }

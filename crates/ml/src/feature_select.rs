@@ -8,12 +8,14 @@
 //! candidates are scanned in index order and ties keep the lowest index
 //! either way), and for the leave-self-out 1-NN criterion,
 //! [`greedy_forward_nn`] swaps the O(n²·|S|) per-candidate distance
-//! recompute for an O(n²) accumulate over the
-//! [`FeatureDistCache`](crate::FeatureDistCache).
+//! recompute for one O(n²) scan over row strips of the accumulated
+//! distance matrix, built from the [`FeatureDistCache`]. The strips are
+//! kept across rounds while the n×n matrix fits the memory budget and
+//! rebuilt every round past it; both give the same bits.
 
 use crate::dataset::{Dataset, MinMaxNormalizer};
-use crate::distcache::{tile_budget_bytes, tile_rows_for, DistAlloc, FeatureDistCache};
-use loopml_rt::{num_threads, par_map_threads};
+use crate::distcache::{tile_budget_bytes, tile_rows_for, FeatureDistCache, Strip};
+use loopml_rt::{num_threads, par_map};
 
 /// Number of equal-width bins used to discretize continuous features
 /// before estimating probability mass functions.
@@ -113,118 +115,68 @@ pub fn greedy_forward<F>(data: &Dataset, steps: usize, train_error: F) -> Vec<Gr
 where
     F: Fn(&Dataset) -> f64 + Sync,
 {
-    greedy_forward_threads(data, steps, train_error, num_threads())
-}
-
-/// [`greedy_forward`] with an explicit worker count (used by the
-/// equivalence tests to force serial vs. multi-threaded execution).
-pub fn greedy_forward_threads<F>(
-    data: &Dataset,
-    steps: usize,
-    train_error: F,
-    threads: usize,
-) -> Vec<GreedyStep>
-where
-    F: Fn(&Dataset) -> f64 + Sync,
-{
-    let d = data.dims();
-    let mut selected: Vec<usize> = Vec::new();
-    let mut trace = Vec::new();
-    for _ in 0..steps.min(d) {
-        let candidates: Vec<usize> = (0..d).filter(|c| !selected.contains(c)).collect();
-        let errors = par_map_threads(threads, &candidates, |&cand| {
-            let mut cols = selected.clone();
+    greedy_rounds(data, steps, |selected, candidates| {
+        par_map(candidates, |&cand| {
+            let mut cols = selected.to_vec();
             cols.push(cand);
             train_error(&data.select_features(&cols))
-        });
-        let Some((idx, err)) = argmin(&candidates, &errors) else {
-            break;
-        };
-        selected.push(idx);
-        trace.push(GreedyStep {
-            index: idx,
-            name: data.feature_names[idx].clone(),
-            error: err,
-        });
-    }
-    trace
+        })
+    })
 }
 
 /// Greedy forward selection under the leave-self-out 1-NN criterion
 /// (the NN column of Table 4), incremental: distances are additive
-/// across features, so each candidate `S ∪ {f}` is evaluated with an
-/// O(n²) accumulate over the precomputed per-feature cache instead of
-/// the O(n²·|S|) recompute [`greedy_forward`] +
-/// [`nn1_training_error`] performs. Candidates run in parallel; traces
-/// are bit-identical to the direct path (both sum distances strictly
-/// left-to-right in selection order).
-pub fn greedy_forward_nn(data: &Dataset, steps: usize) -> Vec<GreedyStep> {
-    greedy_forward_nn_threads(data, steps, num_threads())
-}
-
-/// [`greedy_forward_nn`] with an explicit worker count (used by the
-/// equivalence tests to force serial vs. multi-threaded execution).
+/// across features, so the accumulated distance matrix of the selected
+/// set gains each chosen feature once, and every candidate `S ∪ {f}` is
+/// evaluated with one O(n²) scan over the [`FeatureDistCache`] instead
+/// of the O(n²·|S|) recompute [`greedy_forward`] +
+/// [`nn1_training_error`] performs. Traces are bit-identical to that
+/// direct path (both sum distances strictly left-to-right in selection
+/// order) at any worker count.
 ///
-/// Picks its own memory strategy: when the accumulated n×n base matrix
-/// fits the [`tile_budget_bytes`] budget it is held dense and updated
-/// incrementally; past the budget the search switches to
-/// [`greedy_forward_nn_tiled_threads`], which streams row strips and
-/// never materializes the full matrix. Both strategies are bit-identical;
-/// the dense one stays because it adds each selected feature once rather
-/// than re-accumulating the whole selection every round, which measures
-/// faster wherever the matrix fits (DESIGN.md §13).
-pub fn greedy_forward_nn_threads(data: &Dataset, steps: usize, threads: usize) -> Vec<GreedyStep> {
-    let d = data.dims();
+/// The matrix lives in row strips, one work item each. While all n²
+/// entries fit the [`tile_budget_bytes`] budget the strips are kept
+/// across rounds, about one per worker; past it every round rebuilds
+/// strips of [`tile_rows_for`] rows and drops them, so peak memory stays
+/// at `workers · tile_rows · n · 8` bytes (DESIGN.md §13).
+pub fn greedy_forward_nn(data: &Dataset, steps: usize) -> Vec<GreedyStep> {
+    let threads = num_threads();
     let n = data.len();
-    let dense_bytes = (n as u64) * (n as u64) * 8;
-    if dense_bytes > tile_budget_bytes() {
-        let tile = tile_rows_for(n, threads);
-        return greedy_forward_nn_tiled_threads(data, steps, tile, threads);
-    }
-    let cache = FeatureDistCache::fit(data);
-    // Accumulated distance matrix of the selected subset (empty set: 0).
-    let _acct = DistAlloc::new(dense_bytes);
-    let mut base = vec![0.0; n * n];
-    let mut selected: Vec<usize> = Vec::new();
-    let mut trace = Vec::new();
-    for _ in 0..steps.min(d) {
-        let candidates: Vec<usize> = (0..d).filter(|c| !selected.contains(c)).collect();
-        let errors = cache.nn1_errors_batch(&base, &candidates, threads);
-        let Some((idx, err)) = argmin(&candidates, &errors) else {
-            break;
-        };
-        cache.accumulate(idx, &mut base);
-        selected.push(idx);
-        trace.push(GreedyStep {
-            index: idx,
-            name: data.feature_names[idx].clone(),
-            error: err,
-        });
-    }
-    trace
+    let keep = (n as u64) * (n as u64) * 8 <= tile_budget_bytes();
+    let rows = tile_rows_for(n, threads).min(n.div_ceil(threads));
+    greedy_nn_over_strips(data, steps, rows, keep, threads)
 }
 
-/// Greedy forward 1-NN selection over row strips, on `threads` workers:
-/// like [`greedy_forward_nn`], but the accumulated base matrix is never
-/// materialized — each worker rebuilds a `tile_rows × n` strip of it
-/// (selected contributions re-accumulated in selection order) per
-/// round, bounding peak memory at `workers · tile_rows · n · 8` bytes.
-/// Trades O(n²·|S|) recompute work per round for the O(n²) memory; the
-/// trace is bit-identical to the dense path at any tile size and any
-/// thread count.
-pub fn greedy_forward_nn_tiled_threads(
+/// [`greedy_forward_nn`] over strips of `rows` rows, kept across rounds
+/// if `keep`, on `threads` workers.
+fn greedy_nn_over_strips(
     data: &Dataset,
     steps: usize,
-    tile_rows: usize,
+    rows: usize,
+    keep: bool,
     threads: usize,
 ) -> Vec<GreedyStep> {
-    let d = data.dims();
     let cache = FeatureDistCache::fit(data);
+    let strips = Strip::cover(data.len(), rows);
+    greedy_rounds(data, steps, |selected, candidates| {
+        cache.nn1_errors(&strips, selected, candidates, keep, threads)
+    })
+}
+
+/// The greedy search itself: for `steps` rounds (at most one per
+/// feature), scores every unselected candidate with `errors(selected,
+/// candidates)` and adds the first strict minimum.
+fn greedy_rounds(
+    data: &Dataset,
+    steps: usize,
+    mut errors: impl FnMut(&[usize], &[usize]) -> Vec<f64>,
+) -> Vec<GreedyStep> {
+    let d = data.dims();
     let mut selected: Vec<usize> = Vec::new();
     let mut trace = Vec::new();
     for _ in 0..steps.min(d) {
         let candidates: Vec<usize> = (0..d).filter(|c| !selected.contains(c)).collect();
-        let errors = cache.nn1_errors_batch_tiled(&selected, &candidates, tile_rows, threads);
+        let errors = errors(&selected, &candidates);
         let Some((idx, err)) = argmin(&candidates, &errors) else {
             break;
         };
@@ -294,6 +246,7 @@ pub fn nn1_training_error(data: &Dataset) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use loopml_rt::with_threads;
 
     /// Label is a function of feature 0; feature 1 is noise; feature 2 is
     /// constant.
@@ -413,23 +366,25 @@ mod tests {
     #[test]
     fn parallel_greedy_is_bit_identical_to_serial() {
         let d = toy();
-        let serial = greedy_forward_threads(&d, 3, nn1_training_error, 1);
-        let serial_nn = greedy_forward_nn_threads(&d, 3, 1);
+        let direct = || greedy_forward(&d, 3, nn1_training_error);
+        let cached = || greedy_forward_nn(&d, 3);
+        let serial = with_threads(1, direct);
+        let serial_nn = with_threads(1, cached);
         for threads in [2, 4] {
             assert_eq!(
                 serial,
-                greedy_forward_threads(&d, 3, nn1_training_error, threads),
+                with_threads(threads, direct),
                 "direct greedy diverged at {threads} threads"
             );
             assert_eq!(
                 serial_nn,
-                greedy_forward_nn_threads(&d, 3, threads),
+                with_threads(threads, cached),
                 "cached greedy diverged at {threads} threads"
             );
         }
-        // And through the default (env/core-count) entry points.
-        assert_eq!(serial, greedy_forward(&d, 3, nn1_training_error));
-        assert_eq!(serial_nn, greedy_forward_nn(&d, 3));
+        // And through the default (env/core-count) worker count.
+        assert_eq!(serial, direct());
+        assert_eq!(serial_nn, cached());
     }
 
     #[test]
@@ -482,11 +437,12 @@ mod tests {
     }
 
     #[test]
-    fn tiled_greedy_argmin_matches_dense_at_boundary_sizes() {
-        // The sharded (row-strip) evaluation must be bit-identical to
-        // the dense base-matrix path at every tiling boundary: corpora
-        // smaller than a tile, exactly one tile, one row past a tile,
-        // and a ragged final strip — at 1 and 4 workers.
+    fn strips_match_direct_greedy_at_boundary_sizes() {
+        // Kept and dropped strips must reproduce the direct greedy trace
+        // bit for bit at every strip boundary: corpora smaller than a
+        // strip, exactly one strip, one row past a strip, and a ragged
+        // final strip — at 1 and 4 workers. n = 1 has no neighbor, so
+        // every candidate reports the full error.
         for &tile in &[1usize, 7, 64] {
             for n in [1, tile.saturating_sub(1), tile, tile + 1, 3 * tile + 2] {
                 if n == 0 {
@@ -494,21 +450,19 @@ mod tests {
                 }
                 let data = boundary_dataset(tile, n);
                 let d = data.dims();
-                let dense_trace = greedy_forward_nn_threads(&data, d, 1);
-                let cache = FeatureDistCache::fit(&data);
-                let candidates: Vec<usize> = (0..d).collect();
-                let dense_errs = cache.nn1_errors_batch(&vec![0.0; n * n], &candidates, 1);
-                for &threads in &[1usize, 4] {
-                    let tiled_trace = greedy_forward_nn_tiled_threads(&data, d, tile, threads);
-                    assert_eq!(
-                        dense_trace, tiled_trace,
-                        "greedy trace diverged: tile {tile}, n {n}, threads {threads}"
-                    );
-                    let tiled_errs = cache.nn1_errors_batch_tiled(&[], &candidates, tile, threads);
-                    assert_eq!(
-                        dense_errs, tiled_errs,
-                        "argmin errors diverged: tile {tile}, n {n}, threads {threads}"
-                    );
+                let direct = greedy_forward(&data, d, nn1_training_error);
+                assert_eq!(direct.len(), d);
+                if n == 1 {
+                    assert!(direct.iter().all(|s| s.error == 1.0), "{direct:?}");
+                }
+                for keep in [true, false] {
+                    for threads in [1, 4] {
+                        assert_eq!(
+                            greedy_nn_over_strips(&data, d, tile, keep, threads),
+                            direct,
+                            "tile {tile}, n {n}, keep {keep}, threads {threads}"
+                        );
+                    }
                 }
             }
         }

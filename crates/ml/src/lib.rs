@@ -23,10 +23,11 @@
 //! * [`mutual_information`] / [`greedy_forward`] — the feature-selection
 //!   methods of Tables 3 and 4, with [`greedy_forward_nn`] the
 //!   incremental fast path for the 1-NN criterion;
-//! * [`DistanceMatrix`] / [`FeatureDistCache`] — pairwise-distance
-//!   caches: derive an RBF kernel for any gamma without re-touching
-//!   feature vectors, and evaluate greedy candidate subsets with an
-//!   O(n²) accumulate (distances are additive across features);
+//! * [`FeatureDistCache`] — per-feature distance columns: greedy
+//!   selection evaluates every candidate subset with one O(n²) scan over
+//!   row strips of the selected set's distances (distances are additive
+//!   across features); [`DistanceMatrix`] is the materialized full
+//!   matrix, kept as a bit-identity reference;
 //! * [`sweep`] — LOGO-scored hyperparameter selection across every model
 //!   family (SVM gamma × C grid, NN radius, tree depth/min-leaf, forest
 //!   size, MLP width/lr) over exactly one streamed distance pass, with a
@@ -81,23 +82,19 @@ pub use distcache::{
     DEFAULT_TILE_BUDGET_BYTES,
 };
 pub use feature_select::{
-    greedy_forward, greedy_forward_nn, greedy_forward_nn_threads, greedy_forward_nn_tiled_threads,
-    greedy_forward_threads, mutual_information, nn1_training_error, GreedyStep, ScoredFeature,
-    MIS_BINS,
+    greedy_forward, greedy_forward_nn, mutual_information, nn1_training_error, GreedyStep,
+    ScoredFeature, MIS_BINS,
 };
 pub use forest::{BaggedForest, ForestParams};
 pub use lda::Lda2d;
 pub use linalg::Matrix;
-pub use loocv::{
-    logo_accuracy, logo_accuracy_threads, logo_predictions, logo_predictions_threads, loocv,
-    loocv_nn, loocv_nn_threads, loocv_svm, loocv_threads, CvResult,
-};
+pub use loocv::{logo_accuracy, logo_predictions, loocv, loocv_nn, loocv_svm, CvResult};
 pub use mlp::{Mlp, MlpParams};
 pub use nn::{NearNeighbors, NnPrediction, DEFAULT_RADIUS};
 pub use svm::{decode, KernelCache, MulticlassSvm, SvmParams};
 pub use sweep::{
-    sweep, sweep_threads, ForestCell, ForestGrid, MlpCell, MlpGrid, RadiusCell, SvmCell, SvmGrid,
-    SweepConfig, SweepReport, TreeCell, TreeGrid,
+    sweep, ForestCell, ForestGrid, MlpCell, MlpGrid, RadiusCell, SvmCell, SvmGrid, SweepConfig,
+    SweepReport, TreeCell, TreeGrid,
 };
 pub use tree::{DecisionTree, TreeParams};
 

@@ -21,7 +21,7 @@ use crate::classify::Classifier;
 use crate::dataset::Dataset;
 use crate::nn::NearNeighbors;
 use crate::svm::{MulticlassSvm, SvmParams};
-use loopml_rt::{num_threads, par_map_threads};
+use loopml_rt::{num_threads, par_map, par_map_threads};
 
 /// Result of a cross-validation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,18 +79,13 @@ fn scratch_dataset() -> Dataset {
 
 /// LOOCV for radius near neighbors: exact, via query-time exclusion.
 /// Queries run in parallel. Already streaming: each fold touches only
-/// the fitted model's rows, so there is no n×n buffer to tile.
-pub fn loocv_nn(data: &Dataset, radius: f64) -> CvResult {
-    loocv_nn_threads(data, radius, num_threads())
-}
-
-/// [`loocv_nn`] with an explicit worker count (used by the equivalence
-/// tests to pin the fan-out). Folds are
+/// the fitted model's rows, so there is no n×n buffer to tile. Folds are
 /// batched into contiguous blocks — one scheduling unit per worker
 /// instead of one per query — which matters once the corpus scales to
 /// tens of thousands of loops; predictions are position-indexed, so any
 /// block partition reassembles to the identical result.
-pub fn loocv_nn_threads(data: &Dataset, radius: f64, threads: usize) -> CvResult {
+pub fn loocv_nn(data: &Dataset, radius: f64) -> CvResult {
+    let threads = num_threads();
     let nn = NearNeighbors::fit(data, radius);
     let blocks = fold_blocks(data.len(), threads);
     let per_block: Vec<Vec<usize>> = par_map_threads(threads, &blocks, |block| {
@@ -116,12 +111,7 @@ pub fn loocv_svm(data: &Dataset, params: SvmParams) -> CvResult {
 /// run in parallel, bit-identical to a serial run; `clf` itself is never
 /// mutated.
 pub fn loocv(data: &Dataset, clf: &dyn Classifier) -> CvResult {
-    loocv_threads(data, clf, num_threads())
-}
-
-/// [`loocv`] with an explicit worker count (used by the equivalence tests
-/// to force serial vs. multi-threaded execution).
-pub fn loocv_threads(data: &Dataset, clf: &dyn Classifier, threads: usize) -> CvResult {
+    let threads = num_threads();
     let blocks = fold_blocks(data.len(), threads);
     let per_block: Vec<Vec<usize>> = par_map_threads(threads, &blocks, |block| {
         let mut model = clf.fresh();
@@ -145,22 +135,11 @@ pub fn loocv_threads(data: &Dataset, clf: &dyn Classifier, threads: usize) -> Cv
 /// groups processed in parallel (bit-identical to serial). Groups whose
 /// exclusion would empty the training set predict class 0.
 pub fn logo_predictions(data: &Dataset, group: &[usize], clf: &dyn Classifier) -> Vec<usize> {
-    logo_predictions_threads(data, group, clf, num_threads())
-}
-
-/// [`logo_predictions`] with an explicit worker count (used by the
-/// equivalence tests to force serial vs. multi-threaded execution).
-pub fn logo_predictions_threads(
-    data: &Dataset,
-    group: &[usize],
-    clf: &dyn Classifier,
-    threads: usize,
-) -> Vec<usize> {
     assert_eq!(group.len(), data.len());
     let mut groups: Vec<usize> = group.to_vec();
     groups.sort_unstable();
     groups.dedup();
-    let per_group: Vec<Vec<(usize, usize)>> = par_map_threads(threads, &groups, |&g| {
+    let per_group: Vec<Vec<(usize, usize)>> = par_map(&groups, |&g| {
         let members: Vec<usize> = (0..data.len()).filter(|&i| group[i] == g).collect();
         let drop: Vec<bool> = group.iter().map(|&gi| gi == g).collect();
         let train = data.without_examples(&drop);
@@ -185,20 +164,10 @@ pub fn logo_predictions_threads(
 /// predicted correctly by [`logo_predictions`]. The scalar the
 /// hyperparameter sweep ranks every model-family cell by.
 pub fn logo_accuracy(data: &Dataset, group: &[usize], clf: &dyn Classifier) -> f64 {
-    logo_accuracy_threads(data, group, clf, num_threads())
-}
-
-/// [`logo_accuracy`] with an explicit worker count.
-pub fn logo_accuracy_threads(
-    data: &Dataset,
-    group: &[usize],
-    clf: &dyn Classifier,
-    threads: usize,
-) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
-    let preds = logo_predictions_threads(data, group, clf, threads);
+    let preds = logo_predictions(data, group, clf);
     let correct = preds.iter().zip(&data.y).filter(|(p, y)| p == y).count();
     correct as f64 / data.len() as f64
 }
@@ -207,6 +176,7 @@ pub fn logo_accuracy_threads(
 mod tests {
     use super::*;
     use crate::nn::DEFAULT_RADIUS;
+    use loopml_rt::with_threads;
 
     fn clusters() -> Dataset {
         let mut x = Vec::new();
@@ -279,11 +249,11 @@ mod tests {
     #[test]
     fn nn_loocv_blocked_matches_every_thread_count() {
         let d = clusters();
-        let serial = loocv_nn_threads(&d, DEFAULT_RADIUS, 1);
+        let serial = with_threads(1, || loocv_nn(&d, DEFAULT_RADIUS));
         for threads in [2, 4, 7] {
             assert_eq!(
                 serial,
-                loocv_nn_threads(&d, DEFAULT_RADIUS, threads),
+                with_threads(threads, || loocv_nn(&d, DEFAULT_RADIUS)),
                 "diverged at {threads} threads"
             );
         }
@@ -299,11 +269,11 @@ mod tests {
         let nn = NearNeighbors::new(DEFAULT_RADIUS);
         let svm = MulticlassSvm::new(SvmParams::default());
         for clf in [&nn as &dyn Classifier, &svm as &dyn Classifier] {
-            let serial = loocv_threads(&d, clf, 1);
+            let serial = with_threads(1, || loocv(&d, clf));
             for threads in [2, 4] {
                 assert_eq!(
                     serial,
-                    loocv_threads(&d, clf, threads),
+                    with_threads(threads, || loocv(&d, clf)),
                     "{} diverged at {threads} threads",
                     clf.name()
                 );
@@ -323,7 +293,8 @@ mod tests {
         let expected = correct as f64 / d.len() as f64;
         assert_eq!(logo_accuracy(&d, &group, &nn), expected);
         for threads in [1, 4] {
-            assert_eq!(logo_accuracy_threads(&d, &group, &nn, threads), expected);
+            let accuracy = with_threads(threads, || logo_accuracy(&d, &group, &nn));
+            assert_eq!(accuracy, expected);
         }
     }
 
@@ -332,11 +303,11 @@ mod tests {
         let d = clusters();
         let group: Vec<usize> = (0..d.len()).map(|i| i % 5).collect();
         let nn = NearNeighbors::new(DEFAULT_RADIUS);
-        let serial = logo_predictions_threads(&d, &group, &nn, 1);
+        let serial = with_threads(1, || logo_predictions(&d, &group, &nn));
         for threads in [2, 4] {
             assert_eq!(
                 serial,
-                logo_predictions_threads(&d, &group, &nn, threads),
+                with_threads(threads, || logo_predictions(&d, &group, &nn)),
                 "diverged at {threads} threads"
             );
         }

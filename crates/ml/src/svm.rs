@@ -13,7 +13,7 @@
 use crate::classify::{expect_kind, Classifier};
 use crate::dataset::{dist2, Dataset, MinMaxNormalizer};
 use crate::distcache::{DistanceMatrix, KernelAlloc};
-use loopml_rt::{num_threads, par_map, par_map_threads, Json};
+use loopml_rt::{par_map, Json};
 
 /// SVM hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -351,18 +351,12 @@ impl MulticlassSvm {
     ///
     /// Panics if the dataset is empty.
     pub fn fit(data: &Dataset, params: SvmParams) -> Self {
-        Self::fit_threads(data, params, num_threads())
-    }
-
-    /// [`fit`](MulticlassSvm::fit) with an explicit worker count (used by
-    /// the equivalence tests to force serial vs. multi-threaded training).
-    pub fn fit_threads(data: &Dataset, params: SvmParams, threads: usize) -> Self {
         assert!(!data.is_empty(), "cannot fit to an empty dataset");
         let normalizer = MinMaxNormalizer::fit(&data.x);
         let xs = normalizer.transform(&data.x);
         let kernel = KernelCache::compute(&xs, params.gamma);
         let classes: Vec<usize> = (0..data.classes).collect();
-        let alphas = par_map_threads(threads, &classes, |&class| {
+        let alphas = par_map(&classes, |&class| {
             let labels: Vec<f64> = data
                 .y
                 .iter()
@@ -430,13 +424,6 @@ impl MulticlassSvm {
     /// the folds read, the same one [`fit`](MulticlassSvm::fit) trained
     /// on, and drops it on return.
     pub fn loo_predictions(&self) -> Vec<usize> {
-        self.loo_predictions_threads(num_threads())
-    }
-
-    /// [`loo_predictions`](MulticlassSvm::loo_predictions) with an
-    /// explicit worker count (used by the equivalence tests to force
-    /// serial vs. multi-threaded execution).
-    pub fn loo_predictions_threads(&self, threads: usize) -> Vec<usize> {
         let n = self.xs.len();
         let kernel = KernelCache::compute(&self.xs, self.params.gamma);
         // Per-class machinery computed once: one-vs-rest labels and the
@@ -456,7 +443,7 @@ impl MulticlassSvm {
             .collect();
 
         let indices: Vec<usize> = (0..n).collect();
-        par_map_threads(threads, &indices, |&i| {
+        par_map(&indices, |&i| {
             let mut decisions = Vec::with_capacity(self.classes);
             for c in 0..self.classes {
                 let labels = &labels_by_class[c];
@@ -608,6 +595,7 @@ pub fn decode(decisions: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use loopml_rt::with_threads;
 
     fn dataset(x: Vec<Vec<f64>>, y: Vec<usize>, classes: usize) -> Dataset {
         let n = x.len();
@@ -701,16 +689,18 @@ mod tests {
     fn parallel_training_and_loo_are_bit_identical_to_serial() {
         let d = clusters();
         let p = SvmParams::default();
-        let serial = MulticlassSvm::fit_threads(&d, p, 1);
-        let serial_loo = serial.loo_predictions_threads(1);
+        let fit_and_loo = |threads| {
+            with_threads(threads, || {
+                let svm = MulticlassSvm::fit(&d, p);
+                let loo = svm.loo_predictions();
+                (svm, loo)
+            })
+        };
+        let (serial, serial_loo) = fit_and_loo(1);
         for threads in [2, 4] {
-            let par = MulticlassSvm::fit_threads(&d, p, threads);
+            let (par, par_loo) = fit_and_loo(threads);
             assert_eq!(serial.alphas, par.alphas, "alphas diverged at {threads}");
-            assert_eq!(
-                serial_loo,
-                par.loo_predictions_threads(threads),
-                "LOO diverged at {threads}"
-            );
+            assert_eq!(serial_loo, par_loo, "LOO diverged at {threads}");
         }
         assert_eq!(serial_loo, MulticlassSvm::fit(&d, p).loo_predictions());
     }
@@ -793,10 +783,7 @@ mod tests {
             assert_eq!(svm.decision_values(xi), copy.decision_values(xi));
         }
         // The kernel LOO builds from the loaded rows drives it identically.
-        assert_eq!(
-            svm.loo_predictions_threads(1),
-            copy.loo_predictions_threads(1)
-        );
+        assert_eq!(svm.loo_predictions(), copy.loo_predictions());
     }
 
     #[test]

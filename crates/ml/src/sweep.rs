@@ -49,12 +49,12 @@
 use crate::dataset::{dist2, Dataset, MinMaxNormalizer};
 use crate::distcache::{distance_builds, record_streaming_build, DistAlloc};
 use crate::forest::{BaggedForest, ForestParams};
-use crate::loocv::logo_accuracy_threads;
+use crate::loocv::logo_accuracy;
 use crate::mlp::{Mlp, MlpParams};
 use crate::nn::DEFAULT_RADIUS;
 use crate::svm::{decision_at, decode, train_binary, KernelCache, SvmParams};
 use crate::tree::{DecisionTree, TreeParams};
-use loopml_rt::{num_threads, par_map_threads};
+use loopml_rt::{num_threads, par_map, par_map_threads};
 use std::sync::Mutex;
 
 /// The gamma × C grid swept for the SVM, plus the non-swept
@@ -300,33 +300,22 @@ pub struct SweepReport {
 /// leave-one-group-out accuracy (`group[i]` is example `i`'s benchmark),
 /// with exactly one pairwise distance pass.
 ///
+/// The pairwise distance pass is streamed (`stream_rows`): the full
+/// n×n distance matrix never exists, distance memory stays at
+/// `workers · n · 8` bytes, and kernel memory is the `G · n² · 8` bytes
+/// the SVM trainer needs for G gammas.
+///
 /// # Panics
 ///
 /// Panics if `data` is empty or `group.len() != data.len()`.
 pub fn sweep(data: &Dataset, group: &[usize], cfg: &SweepConfig) -> SweepReport {
-    sweep_threads(data, group, cfg, num_threads())
-}
-
-/// [`sweep`] with an explicit worker count (used by the determinism tests
-/// to force serial vs. multi-threaded execution).
-///
-/// The pairwise distance pass is streamed ([`stream_rows`]): the full
-/// n×n distance matrix never exists, distance memory stays at
-/// `workers · n · 8` bytes, and kernel memory is the `G · n² · 8` bytes
-/// the SVM trainer needs for G gammas.
-pub fn sweep_threads(
-    data: &Dataset,
-    group: &[usize],
-    cfg: &SweepConfig,
-    threads: usize,
-) -> SweepReport {
     assert!(!data.is_empty(), "cannot sweep an empty dataset");
     assert_eq!(group.len(), data.len(), "one group per example");
     let builds_before = distance_builds();
 
     let n = data.len();
     let xs = MinMaxNormalizer::fit(&data.x).transform(&data.x);
-    let (kernels, nn_correct) = stream_rows(&xs, data, group, cfg, threads);
+    let (kernels, nn_correct) = stream_rows(&xs, data, group, cfg, num_threads());
     let nn_cells: Vec<RadiusCell> = cfg
         .radii
         .iter()
@@ -337,7 +326,7 @@ pub fn sweep_threads(
         })
         .collect();
 
-    finish_report(data, group, cfg, threads, &kernels, nn_cells, builds_before)
+    finish_report(data, group, cfg, &kernels, nn_cells, builds_before)
 }
 
 /// The sweep's one distance pass. The rows split into one contiguous
@@ -465,7 +454,6 @@ fn finish_report(
     data: &Dataset,
     group: &[usize],
     cfg: &SweepConfig,
-    threads: usize,
     kernels: &[KernelCache],
     nn_cells: Vec<RadiusCell>,
     builds_before: u64,
@@ -485,7 +473,7 @@ fn finish_report(
             (0..cfg.svm.cs.len()).flat_map(move |ci| (0..n_groups).map(move |fi| (gi, ci, fi)))
         })
         .collect();
-    let correct_per_job: Vec<u64> = par_map_threads(threads, &jobs, |&(gi, ci, fi)| {
+    let correct_per_job: Vec<u64> = par_map(&jobs, |&(gi, ci, fi)| {
         let g = groups[fi];
         let members: Vec<usize> = (0..n).filter(|&i| group[i] == g).collect();
         let active: Vec<usize> = (0..n).filter(|&i| group[i] != g).collect();
@@ -581,7 +569,7 @@ fn finish_report(
             tree_cells.push(TreeCell {
                 max_depth,
                 min_leaf,
-                accuracy: logo_accuracy_threads(data, group, &clf, threads),
+                accuracy: logo_accuracy(data, group, &clf),
             });
         }
     }
@@ -605,7 +593,7 @@ fn finish_report(
         });
         forest_cells.push(ForestCell {
             trees,
-            accuracy: logo_accuracy_threads(data, group, &clf, threads),
+            accuracy: logo_accuracy(data, group, &clf),
         });
     }
     let (selected_forest, forest_accuracy) =
@@ -631,7 +619,7 @@ fn finish_report(
             mlp_cells.push(MlpCell {
                 hidden,
                 lr,
-                accuracy: logo_accuracy_threads(data, group, &clf, threads),
+                accuracy: logo_accuracy(data, group, &clf),
             });
         }
     }
@@ -705,6 +693,7 @@ fn argmax_accuracy(accuracies: impl Iterator<Item = f64>) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::distcache::DistanceMatrix;
+    use loopml_rt::with_threads;
 
     /// Three well-separated clusters, each split across two "benchmarks"
     /// so LOGO folds still see every class.
@@ -735,7 +724,7 @@ mod tests {
     fn sweep_scores_every_cell_and_selects_a_winner() {
         let (data, group) = clusters();
         let cfg = SweepConfig::default();
-        let r = sweep_threads(&data, &group, &cfg, 1);
+        let r = with_threads(1, || sweep(&data, &group, &cfg));
         assert_eq!(r.svm_cells.len(), cfg.svm.gammas.len() * cfg.svm.cs.len());
         assert_eq!(r.nn_cells.len(), cfg.radii.len());
         assert_eq!(r.n_examples, data.len());
@@ -839,7 +828,7 @@ mod tests {
                 ..MlpGrid::default()
             },
         };
-        let r = sweep_threads(&data, &group, &cfg, 1);
+        let r = with_threads(1, || sweep(&data, &group, &cfg));
         assert!(r.svm_cells.is_empty());
         assert!(r.nn_cells.is_empty());
         assert!(r.tree_cells.is_empty());
@@ -869,7 +858,7 @@ mod tests {
         let (data, _) = clusters();
         let group = vec![0usize; data.len()];
         let cfg = SweepConfig::default();
-        let r = sweep_threads(&data, &group, &cfg, 1);
+        let r = with_threads(1, || sweep(&data, &group, &cfg));
         let class0 = data.y.iter().filter(|&&y| y == 0).count() as f64 / data.len() as f64;
         for cell in &r.svm_cells {
             assert_eq!(cell.accuracy, class0);

@@ -1,12 +1,11 @@
-//! Per-family fit determinism: training any zoo member under
-//! `LOOPML_THREADS=1` and `LOOPML_THREADS=4` must produce bit-identical
-//! serialized state. Lives in its own test binary because it mutates the
-//! process-global thread-count environment variable.
+//! Per-family fit determinism: training any zoo member with 1 and with
+//! 4 workers must produce bit-identical serialized state.
 
 use loopml_ml::{
     BaggedForest, Classifier, Dataset, DecisionTree, ForestParams, Mlp, MlpParams, MulticlassSvm,
     NearNeighbors, SvmParams, TreeParams, DEFAULT_RADIUS,
 };
+use loopml_rt::with_threads;
 
 /// A deterministic four-class corpus big enough that a parallel fit
 /// would actually interleave if a family ever consulted the pool.
@@ -49,15 +48,13 @@ fn every_family_fits_bit_identically_at_1_and_4_threads() {
     let data = corpus();
     for template in zoo() {
         let mut states = Vec::new();
-        for threads in ["1", "4"] {
-            std::env::set_var("LOOPML_THREADS", threads);
+        for threads in [1, 4] {
             let mut m = template.fresh();
-            m.fit(&data);
+            with_threads(threads, || m.fit(&data));
             // Serialized text covers every learned weight/threshold, so
             // string equality is bit-identity of the whole model.
             states.push(m.save().to_string());
         }
-        std::env::remove_var("LOOPML_THREADS");
         assert_eq!(
             states[0],
             states[1],

@@ -8,11 +8,11 @@
 use std::sync::Mutex;
 
 use loopml_ml::{
-    greedy_forward_nn_threads, peak_distance_bytes, peak_kernel_bytes, reset_distance_bytes,
-    reset_kernel_bytes, sweep_threads, Classifier, Dataset, ForestGrid, MlpGrid, MulticlassSvm,
-    SvmGrid, SvmParams, SweepConfig, TreeGrid,
+    greedy_forward_nn, peak_distance_bytes, peak_kernel_bytes, reset_distance_bytes,
+    reset_kernel_bytes, sweep, Classifier, Dataset, ForestGrid, MlpGrid, MulticlassSvm, SvmGrid,
+    SvmParams, SweepConfig, TreeGrid,
 };
-use loopml_rt::{Json, Rng};
+use loopml_rt::{with_threads, Json, Rng};
 
 /// Serializes the tests that reset and read the peak-byte counters.
 static COUNTERS: Mutex<()> = Mutex::new(());
@@ -46,7 +46,7 @@ fn distances_stay_in_budget_and_kernels_at_one_per_gamma() {
 
     // Greedy selection past the budget streams row strips that fit it.
     reset_distance_bytes();
-    greedy_forward_nn_threads(&data, 3, threads);
+    with_threads(threads, || greedy_forward_nn(&data, 3));
     let greedy_peak = peak_distance_bytes();
     assert!(greedy_peak > 0, "greedy registered no distance buffer");
     assert!(
@@ -82,7 +82,7 @@ fn distances_stay_in_budget_and_kernels_at_one_per_gamma() {
     };
     reset_distance_bytes();
     reset_kernel_bytes();
-    let report = sweep_threads(&data, &group, &cfg, threads);
+    let report = with_threads(threads, || sweep(&data, &group, &cfg));
     assert_eq!(report.svm_cells.len(), 2);
     let distance_peak = peak_distance_bytes();
     let row_bound = (threads * n * 8) as u64;

@@ -7,7 +7,8 @@
 
 use std::sync::Mutex;
 
-use loopml_ml::{distance_builds, sweep_threads, Dataset, SvmGrid, SweepConfig};
+use loopml_ml::{distance_builds, sweep, Dataset, SvmGrid, SweepConfig};
+use loopml_rt::with_threads;
 
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
@@ -48,10 +49,10 @@ fn sweep_is_bit_identical_across_thread_counts() {
     let _guard = COUNTER_LOCK.lock().unwrap();
     let (data, group) = corpus();
     let cfg = SweepConfig::default();
-    let serial = sweep_threads(&data, &group, &cfg, 1);
+    let serial = with_threads(1, || sweep(&data, &group, &cfg));
     // 5 workers split the 48 rows into ragged blocks.
     for threads in [2, 4, 5, 8] {
-        let par = sweep_threads(&data, &group, &cfg, threads);
+        let par = with_threads(threads, || sweep(&data, &group, &cfg));
         // PartialEq over every cell accuracy, selected params and
         // counters: bit-identical, not approximately equal.
         assert_eq!(serial, par, "sweep diverged at {threads} threads");
@@ -76,7 +77,7 @@ fn sweep_builds_exactly_one_distance_matrix() {
         ..SweepConfig::default()
     };
     let before = distance_builds();
-    let report = sweep_threads(&data, &group, &cfg, 4);
+    let report = with_threads(4, || sweep(&data, &group, &cfg));
     assert_eq!(
         distance_builds() - before,
         1,
@@ -93,8 +94,9 @@ fn counter_is_monotonic_across_sweeps() {
     let (data, group) = corpus();
     let cfg = SweepConfig::default();
     let before = distance_builds();
-    let a = sweep_threads(&data, &group, &cfg, 2);
-    let b = sweep_threads(&data, &group, &cfg, 2);
+    let (a, b) = with_threads(2, || {
+        (sweep(&data, &group, &cfg), sweep(&data, &group, &cfg))
+    });
     assert_eq!(distance_builds() - before, 2, "one build per sweep");
     assert_eq!(a, b, "same inputs, same report");
 }
@@ -116,7 +118,7 @@ fn distance_free_families_never_advance_the_build_counter() {
         ..SweepConfig::default()
     };
     let before = distance_builds();
-    let r = sweep_threads(&data, &group, &cfg, 1);
+    let r = with_threads(1, || sweep(&data, &group, &cfg));
     assert_eq!(distance_builds() - before, 1);
     assert_eq!(r.distance_builds, 1);
     assert!(r.svm_cells.is_empty() && r.nn_cells.is_empty());

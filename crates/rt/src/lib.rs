@@ -32,7 +32,5 @@ pub mod rng;
 pub use check::check;
 pub use fault::{fault_key, fault_key_str, FaultPlane, InjectedFault};
 pub use json::Json;
-pub use par::{
-    num_threads, par_map, par_map_result, par_map_result_threads, par_map_threads, WorkerError,
-};
+pub use par::{num_threads, par_map, par_map_result, par_map_threads, with_threads, WorkerError};
 pub use rng::{Rng, SampleRange};

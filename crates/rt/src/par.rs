@@ -6,10 +6,11 @@
 //! runs, never *what* it computes or where the result lands.
 //!
 //! Thread count comes from `std::thread::available_parallelism`, or the
-//! `LOOPML_THREADS` environment variable when set. Nested `par_map` calls
-//! from inside a worker run serially on that worker — one level of
-//! parallelism is enough for labeling (benchmarks × loops) and avoids
-//! quadratic thread explosions.
+//! `LOOPML_THREADS` environment variable when set; [`with_threads`] pins
+//! it for one call on the calling thread (tests use it to compare worker
+//! counts). Nested `par_map` calls from inside a worker run serially on
+//! that worker — one level of parallelism is enough for labeling
+//! (benchmarks × loops) and avoids quadratic thread explosions.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -20,13 +21,19 @@ use crate::fault::InjectedFault;
 
 thread_local! {
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
+    /// The count [`with_threads`] pinned on this thread, if any.
+    static PINNED: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Worker threads to use: `LOOPML_THREADS` if set to a positive integer,
+/// Worker threads to use: the count [`with_threads`] pinned on the
+/// calling thread, else `LOOPML_THREADS` if set to a positive integer,
 /// otherwise the machine's available parallelism (1 if unknown). An
 /// invalid `LOOPML_THREADS` value (zero, negative, non-numeric) warns
 /// once to stderr and falls back to available parallelism.
 pub fn num_threads() -> usize {
+    if let Some(n) = PINNED.with(Cell::get) {
+        return n;
+    }
     if let Ok(s) = std::env::var("LOOPML_THREADS") {
         match s.trim().parse::<usize>() {
             Ok(n) if n >= 1 => return n,
@@ -44,6 +51,21 @@ pub fn num_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// Runs `f` with [`num_threads`] returning `threads` (at least 1) on the
+/// calling thread, and restores the previous count when `f` returns or
+/// unwinds. Pins nest. Threads spawned inside `f` do not see the pin;
+/// `par_map` workers need not, since nested calls run serially.
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let _ = PINNED.try_with(|p| p.set(self.0));
+        }
+    }
+    let _restore = Restore(PINNED.with(|p| p.replace(Some(threads.max(1)))));
+    f()
 }
 
 /// Renders a panic payload as a human-readable message. Pass the
@@ -96,8 +118,8 @@ where
     par_map_threads(num_threads(), items, f)
 }
 
-/// [`par_map`] with an explicit worker count (used by the equivalence
-/// tests to force serial vs. multi-threaded execution).
+/// [`par_map`] with an explicit worker count, for callers that size
+/// their own work split to the pool.
 ///
 /// # Panics
 ///
@@ -156,26 +178,12 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_result_threads(num_threads(), items, f)
-}
-
-/// [`par_map_result`] with an explicit worker count.
-pub fn par_map_result_threads<T, R, F>(
-    threads: usize,
-    items: &[T],
-    f: F,
-) -> Vec<Result<R, WorkerError>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
     let isolated = |(i, item): &(usize, &T)| -> Result<R, WorkerError> {
         catch_unwind(AssertUnwindSafe(|| f(item)))
             .map_err(|payload| WorkerError::from_panic(*i, payload))
     };
     let indexed: Vec<(usize, &T)> = items.iter().enumerate().collect();
-    par_map_threads(threads, &indexed, isolated)
+    par_map(&indexed, isolated)
 }
 
 #[cfg(test)]
@@ -234,11 +242,13 @@ mod tests {
     fn par_map_result_isolates_panics() {
         let items: Vec<u32> = (0..32).collect();
         for threads in [1, 2, 4] {
-            let out = par_map_result_threads(threads, &items, |&x| {
-                if x % 7 == 3 {
-                    panic!("boom on {x}");
-                }
-                x * 2
+            let out = with_threads(threads, || {
+                par_map_result(&items, |&x| {
+                    if x % 7 == 3 {
+                        panic!("boom on {x}");
+                    }
+                    x * 2
+                })
             });
             assert_eq!(out.len(), items.len());
             for (i, r) in out.iter().enumerate() {
@@ -259,9 +269,11 @@ mod tests {
         use crate::fault::{site, FaultPlane};
         let plane = FaultPlane::new(0, 1.0).only_keys(vec![5]);
         let items: Vec<u64> = (0..12).collect();
-        let out = par_map_result_threads(3, &items, |&k| {
-            plane.trip(site::LABEL_LOOP, k);
-            k + 1
+        let out = with_threads(3, || {
+            par_map_result(&items, |&k| {
+                plane.trip(site::LABEL_LOOP, k);
+                k + 1
+            })
         });
         for (i, r) in out.iter().enumerate() {
             if i == 5 {
@@ -272,6 +284,36 @@ mod tests {
                 assert_eq!(*r, Ok(i as u64 + 1));
             }
         }
+    }
+
+    #[test]
+    fn with_threads_pins_the_calling_thread_until_it_returns() {
+        let env = num_threads();
+        let pinned = with_threads(env + 3, || {
+            let inner = with_threads(env + 7, num_threads);
+            // Threads spawned under the pin read the environment.
+            let spawned = std::thread::scope(|s| s.spawn(num_threads).join().unwrap());
+            (num_threads(), inner, spawned, num_threads())
+        });
+        assert_eq!(pinned, (env + 3, env + 7, env, env + 3));
+        assert_eq!(num_threads(), env, "the pin ends with the call");
+        assert_eq!(
+            with_threads(0, num_threads),
+            1,
+            "a zero pin means one worker"
+        );
+    }
+
+    #[test]
+    fn with_threads_restores_the_count_on_unwind() {
+        let env = num_threads();
+        let outer = with_threads(env + 2, || {
+            let caught = catch_unwind(|| with_threads(env + 5, || panic!("boom")));
+            assert!(caught.is_err());
+            num_threads()
+        });
+        assert_eq!(outer, env + 2, "the inner pin unwound to the outer one");
+        assert_eq!(num_threads(), env);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use loopml::{dataset_fingerprint, model_fingerprint, ModelArtifact};
 use loopml_ml::{Classifier, Dataset, NearNeighbors};
 use loopml_rt::fault::site;
-use loopml_rt::{FaultPlane, Json};
+use loopml_rt::{with_threads, FaultPlane, Json};
 use loopml_serve::{
     code, serve_lines_with, validate_serve_stats, Request, Response, ServeLimits, ServeModel,
     ServeOptions,
@@ -229,8 +229,7 @@ fn chaos_serving_is_byte_identical_to_a_clean_run_at_any_thread_count() {
     let clean_text = String::from_utf8(clean).unwrap();
     let clean_answers: Vec<&str> = clean_text.lines().collect();
 
-    for threads in ["1", "4"] {
-        std::env::set_var("LOOPML_THREADS", threads);
+    for threads in [1, 4] {
         let opts = ServeOptions {
             // No site filter: serve.decode, serve.predict and
             // serve.write all fire. The generous budget makes attempt
@@ -241,8 +240,9 @@ fn chaos_serving_is_byte_identical_to_a_clean_run_at_any_thread_count() {
             ..ServeOptions::quiet()
         };
         let mut out = Vec::new();
-        let stats =
-            serve_lines_with(&model, &opts, input.as_bytes(), &mut out).expect("chaos serve");
+        let stats = with_threads(threads, || {
+            serve_lines_with(&model, &opts, input.as_bytes(), &mut out).expect("chaos serve")
+        });
         let chaos_text = String::from_utf8(out).unwrap();
         let chaos_answers: Vec<&str> = chaos_text.lines().collect();
 
@@ -269,5 +269,4 @@ fn chaos_serving_is_byte_identical_to_a_clean_run_at_any_thread_count() {
         let drain = Json::parse(chaos_answers.last().unwrap()).unwrap();
         validate_serve_stats(&drain).expect("chaos drain stats validate");
     }
-    std::env::remove_var("LOOPML_THREADS");
 }

@@ -1,10 +1,10 @@
 //! The serving determinism contract: batched answers are bit-identical
-//! at any `LOOPML_THREADS`. Lives in its own test binary because it
-//! mutates the process-global thread-count environment variable.
+//! at any `LOOPML_THREADS`.
 
 use loopml::PipelineBuilder;
 use loopml_corpus::SuiteConfig;
 use loopml_ml::{MulticlassSvm, SvmParams};
+use loopml_rt::with_threads;
 use loopml_serve::ServeModel;
 
 #[test]
@@ -26,12 +26,10 @@ fn served_batches_are_bit_identical_at_any_thread_count() {
     let artifact = p.train_artifact("SVM", Box::new(MulticlassSvm::new(SvmParams::default())));
     let model = ServeModel::from_artifact(artifact).expect("reconstruct");
 
-    let mut answers = Vec::new();
-    for threads in ["1", "2", "4"] {
-        std::env::set_var("LOOPML_THREADS", threads);
-        answers.push(model.choose_loops(&loops));
-    }
-    std::env::remove_var("LOOPML_THREADS");
+    let answers: Vec<_> = [1, 2, 4]
+        .into_iter()
+        .map(|threads| with_threads(threads, || model.choose_loops(&loops)))
+        .collect();
     assert_eq!(answers[0], answers[1], "1 vs 2 threads diverged");
     assert_eq!(answers[0], answers[2], "1 vs 4 threads diverged");
 }

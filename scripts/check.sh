@@ -9,7 +9,10 @@
 # coverage), the sweep
 # gate (the smoke-scale `repro sweep` must select hyperparameters with
 # exactly one pairwise distance pass, score at least two model
-# families, and crown a cross-family winner), the serve gate (a
+# families, and crown a cross-family winner), the determinism gate
+# (`repro --quick all` stdout must be byte-identical at one worker, at
+# four, and at four under a 64 KiB tile budget that makes greedy
+# selection rebuild its row strips every round), the serve gate (a
 # smoke-trained artifact served through the `loopml-serve` daemon must
 # answer replayed batches byte-identically to the in-process heuristic,
 # repeated for the paper's SVM and each tree/forest/MLP zoo artifact),
@@ -50,7 +53,7 @@ cargo run --release -p loopml-bench --bin repro -- sweep --smoke
 # on either violation; these greps keep the report's wire format honest.
 echo "check.sh: family-sweep gate (multi-family scoring / winner)"
 grep -q '"winner":{"family":"\(nn\|svm\|tree\|forest\|mlp\)"' SWEEP_ml.json
-grep -q '"distance_builds":1' SWEEP_ml.json
+grep -q '"distance_builds":1,' SWEEP_ml.json
 scored=0
 for fam in nn svm tree forest mlp; do
     if grep -q "\"$fam\":{\"cells\":\[{" SWEEP_ml.json; then
@@ -59,13 +62,29 @@ for fam in nn svm tree forest mlp; do
 done
 [ "$scored" -ge 2 ]
 
+# Determinism gate: every paper output is a pure function of the
+# corpus, whatever the worker count or memory budget. The 64 KiB budget
+# drops greedy selection's row strips after every round, both in the
+# builder's feature selection and in Table 4's greedy trace.
+echo "check.sh: determinism gate (repro --quick all at 1 / 4 / 4 + tiles)"
+det_dir=$(mktemp -d)
+trap 'rm -rf "$det_dir"' EXIT
+repro_all() {
+    cargo run --release -q -p loopml-bench --bin repro -- --quick all
+}
+LOOPML_THREADS=1 repro_all > "$det_dir/threads1.txt"
+LOOPML_THREADS=4 repro_all > "$det_dir/threads4.txt"
+LOOPML_THREADS=4 LOOPML_TILE_BYTES=65536 repro_all > "$det_dir/threads4_tiles.txt"
+cmp "$det_dir/threads1.txt" "$det_dir/threads4.txt"
+cmp "$det_dir/threads1.txt" "$det_dir/threads4_tiles.txt"
+
 # Serve gate: train a smoke artifact, replay the suite through the
 # in-process serving loop (serve-bench verifies bit-identity against
 # LearnedHeuristic and dumps the exact wire traffic), then feed the same
 # requests to the loopml-serve daemon binary and demand byte-identical
 # responses.
 serve_dir=$(mktemp -d)
-trap 'rm -rf "$serve_dir"' EXIT
+trap 'rm -rf "$det_dir" "$serve_dir"' EXIT
 echo "check.sh: serve gate (train / serve-bench / daemon diff)"
 clean_train=$(cargo run --release -q -p loopml-bench --bin repro -- train --smoke \
     --out "$serve_dir/model.json")
@@ -139,7 +158,7 @@ cargo run --release -q -p loopml-bench --bin repro -- serve-stats-check \
 
 # Chaos gate: deterministic fault injection through the full CLI.
 chaos_dir=$(mktemp -d)
-trap 'rm -rf "$serve_dir" "$chaos_dir"' EXIT
+trap 'rm -rf "$det_dir" "$serve_dir" "$chaos_dir"' EXIT
 repro_label() {
     cargo run --release -q -p loopml-bench --bin repro -- label --smoke "$@"
 }
@@ -161,7 +180,7 @@ cmp "$chaos_dir/clean_deg.json" "$chaos_dir/resumed_deg.json"
 # shards labeled by independent processes, merged back into global
 # order, must be byte-identical to the single-process file.
 shard_dir=$(mktemp -d)
-trap 'rm -rf "$serve_dir" "$chaos_dir" "$shard_dir"' EXIT
+trap 'rm -rf "$det_dir" "$serve_dir" "$chaos_dir" "$shard_dir"' EXIT
 echo "check.sh: shard gate (3-way label shards / merge / diff)"
 repro_label --out "$shard_dir/single.json" --degradation "$shard_dir/single_deg.json"
 for i in 0 1 2; do

@@ -4,14 +4,14 @@
 //! degrades gracefully, and checkpoint/resume is bit-identical.
 
 use loopml::{
-    label_benchmark, label_suite_resilient, measure_benchmark, EvalConfig, LabelConfig,
+    label_benchmark, label_suite_resilient, measure_benchmark, EvalConfig, LabelConfig, LabelRun,
     LabeledLoop, OrcHeuristic, QuarantineScope, ResilienceConfig,
 };
 use loopml_corpus::{synthesize, SuiteConfig, ROSTER};
 use loopml_ir::Benchmark;
 use loopml_machine::SwpMode;
 use loopml_rt::fault::site;
-use loopml_rt::{par_map_result, FaultPlane};
+use loopml_rt::{par_map_result, with_threads, FaultPlane};
 
 fn small_suite() -> Vec<Benchmark> {
     ROSTER
@@ -34,12 +34,18 @@ fn cfg() -> LabelConfig {
     LabelConfig::paper(SwpMode::Disabled)
 }
 
-fn resilience(faults: FaultPlane, threads: usize) -> ResilienceConfig {
+fn resilience(faults: FaultPlane) -> ResilienceConfig {
     ResilienceConfig {
         faults,
-        threads,
         ..ResilienceConfig::default()
     }
+}
+
+/// The whole suite labeled under `faults` on `threads` workers.
+fn run_on(threads: usize, suite: &[Benchmark], faults: FaultPlane) -> LabelRun {
+    with_threads(threads, || {
+        label_suite_resilient(suite, &cfg(), &resilience(faults), None)
+    })
 }
 
 /// The headline guarantee: a corpus where one synthetic benchmark
@@ -54,7 +60,7 @@ fn crashing_benchmark_never_contaminates_siblings() {
         .enumerate()
         .filter(|(bi, _)| *bi != poisoned)
         .flat_map(|(bi, b)| {
-            label_benchmark(b, bi, &cfg(), &resilience(FaultPlane::disabled(), 1)).labeled
+            label_benchmark(b, bi, &cfg(), &resilience(FaultPlane::disabled())).labeled
         })
         .collect();
     assert!(!alone.is_empty());
@@ -63,7 +69,7 @@ fn crashing_benchmark_never_contaminates_siblings() {
         let plane = FaultPlane::new(0, 1.0)
             .at_site(site::LABEL_LOOP)
             .only_keys(vec![poisoned as u64]);
-        let run = label_suite_resilient(&suite, &cfg(), &resilience(plane, threads), None);
+        let run = run_on(threads, &suite, plane);
         assert_eq!(
             run.labeled, alone,
             "survivors diverged at {threads} thread(s)"
@@ -86,7 +92,7 @@ fn crashing_benchmark_never_contaminates_siblings() {
 fn chaos_runs_complete_and_reproduce() {
     let suite = small_suite();
     let plane = || FaultPlane::new(0x20260806, 0.08).at_site(site::LABEL_MEASURE);
-    let reference = label_suite_resilient(&suite, &cfg(), &resilience(plane(), 1), None);
+    let reference = run_on(1, &suite, plane());
     assert!(!reference.labeled.is_empty(), "chaos must not stop the run");
     assert!(
         reference.report.fault_sites[site::LABEL_MEASURE] > 0,
@@ -97,18 +103,18 @@ fn chaos_runs_complete_and_reproduce() {
         "some loops should have needed retries"
     );
     for threads in [2usize, 4] {
-        let run = label_suite_resilient(&suite, &cfg(), &resilience(plane(), threads), None);
+        let run = run_on(threads, &suite, plane());
         assert_eq!(run, reference, "chaos diverged at {threads} threads");
     }
     assert_eq!(
-        label_suite_resilient(&suite, &cfg(), &resilience(plane(), 1), None),
+        run_on(1, &suite, plane()),
         reference,
         "rerun must be bit-identical"
     );
 
     // Labels the chaos run produced without retries match a fault-free
     // run exactly (the fault plane costs coverage, never accuracy).
-    let clean = label_suite_resilient(&suite, &cfg(), &resilience(FaultPlane::disabled(), 1), None);
+    let clean = run_on(1, &suite, FaultPlane::disabled());
     for (l, &a) in reference.labeled.iter().zip(&reference.attempts) {
         if a == 0 {
             let c = clean
@@ -164,10 +170,9 @@ fn resume_after_partial_loss_is_bit_identical() {
     let full_cfg = ResilienceConfig {
         faults: plane(),
         ckpt_dir: Some(dir.clone()),
-        threads: 2,
         ..ResilienceConfig::default()
     };
-    let full = label_suite_resilient(&suite, &cfg(), &full_cfg, None);
+    let full = with_threads(2, || label_suite_resilient(&suite, &cfg(), &full_cfg, None));
 
     // "Crash": one checkpoint disappears, another is truncated mid-write.
     let gone = loopml::checkpoint_path(&dir, 0, &suite[0].name);
@@ -176,15 +181,13 @@ fn resume_after_partial_loss_is_bit_identical() {
     let text = std::fs::read_to_string(&torn).expect("checkpoint existed");
     std::fs::write(&torn, &text[..text.len() / 3]).expect("truncate");
 
-    let resumed = label_suite_resilient(
-        &suite,
-        &cfg(),
-        &ResilienceConfig {
-            resume: true,
-            ..full_cfg
-        },
-        None,
-    );
+    let resume_cfg = ResilienceConfig {
+        resume: true,
+        ..full_cfg
+    };
+    let resumed = with_threads(2, || {
+        label_suite_resilient(&suite, &cfg(), &resume_cfg, None)
+    });
     assert_eq!(resumed.labeled, full.labeled);
     assert_eq!(resumed.attempts, full.attempts);
     assert_eq!(resumed.report.resumed, 2, "two checkpoints survived");
@@ -200,20 +203,9 @@ fn resume_after_partial_loss_is_bit_identical() {
         seed: cfg().seed ^ 1,
         ..cfg()
     };
-    let fresh = label_suite_resilient(
-        &suite,
-        &reseeded,
-        &ResilienceConfig {
-            resume: true,
-            ..ResilienceConfig {
-                faults: plane(),
-                ckpt_dir: Some(dir.clone()),
-                threads: 2,
-                ..ResilienceConfig::default()
-            }
-        },
-        None,
-    );
+    let fresh = with_threads(2, || {
+        label_suite_resilient(&suite, &reseeded, &resume_cfg, None)
+    });
     assert_eq!(fresh.report.resumed, 0, "stale checkpoints must be ignored");
 }
 
@@ -238,7 +230,6 @@ fn killed_shard_resumes_and_merges_bit_identically() {
     let res = |resume: bool| ResilienceConfig {
         ckpt_dir: Some(ckpt.clone()),
         resume,
-        threads: 2,
         ..ResilienceConfig::default()
     };
     let single = labels_to_json(

@@ -12,7 +12,7 @@ use loopml_machine::{NoiseModel, SwpMode};
 use loopml_ml::{
     greedy_forward, greedy_forward_nn, loocv_nn, nn1_training_error, NearNeighbors, DEFAULT_RADIUS,
 };
-use loopml_rt::FaultPlane;
+use loopml_rt::{with_threads, FaultPlane};
 
 fn small_suite_cfg() -> SuiteConfig {
     SuiteConfig {
@@ -118,6 +118,37 @@ fn oracle_dominates_heuristics_without_noise() {
 }
 
 #[test]
+fn oracle_picks_the_exact_label_of_every_kept_loop() {
+    // Noise-free, the labeler and the oracle cost the same eight
+    // variants of each loop, so the oracle must choose the label.
+    let suite: Vec<Benchmark> = ROSTER
+        .iter()
+        .take(12)
+        .map(|e| synthesize(e, &small_suite_cfg()))
+        .collect();
+    for swp in [SwpMode::Disabled, SwpMode::Enabled] {
+        let cfg = LabelConfig {
+            noise: NoiseModel::exact(),
+            ..LabelConfig::paper(swp)
+        };
+        let ec = EvalConfig::exact(swp);
+        let labeled = label_suite(&suite, &cfg);
+        assert!(labeled.len() >= 50, "{swp:?}: {} kept loops", labeled.len());
+        for (bi, b) in suite.iter().enumerate() {
+            let oracle = oracle_choices(b, &ec);
+            for l in labeled.iter().filter(|l| l.benchmark == bi) {
+                let li = b
+                    .loops
+                    .iter()
+                    .position(|w| w.body.name == l.name)
+                    .expect("a labeled loop comes from its benchmark");
+                assert_eq!(oracle[li], l.best_factor(), "{swp:?}: {}", l.name);
+            }
+        }
+    }
+}
+
+#[test]
 fn labeling_and_evaluation_are_reproducible() {
     let b = synthesize(&ROSTER[5], &small_suite_cfg());
     let cfg = LabelConfig::paper(SwpMode::Disabled);
@@ -153,14 +184,11 @@ fn parallel_suite_labeling_matches_serial_end_to_end() {
         .map(|e| synthesize(e, &small_suite_cfg()))
         .collect();
     let cfg = LabelConfig::paper(SwpMode::Disabled);
-    let run = |threads| {
-        let res = ResilienceConfig {
-            faults: FaultPlane::disabled(),
-            threads,
-            ..ResilienceConfig::default()
-        };
-        label_suite_resilient(&suite, &cfg, &res, None)
+    let res = ResilienceConfig {
+        faults: FaultPlane::disabled(),
+        ..ResilienceConfig::default()
     };
+    let run = |threads| with_threads(threads, || label_suite_resilient(&suite, &cfg, &res, None));
     let serial = run(1);
     assert!(!serial.labeled.is_empty());
     for threads in [2, 4, 7] {
