@@ -6,8 +6,6 @@
 //! repro lint [--stats]               legality-prover corpus scan + gates
 //! repro sweep [--smoke|--quick]      LOGO hyperparameter sweep -> SWEEP_ml.json
 //! repro label [--smoke] [...]        fault-tolerant labeling -> LABEL_ml.json
-//! repro label-merge <shard.json>...  merge disjoint label shards byte-identically
-//! repro label-supervise <N> [...]    self-healing N-process labeling work queue
 //! repro label-diff <clean> <chaos>   chaos run may cost coverage, not accuracy
 //! repro train [--model KIND]         emit the versioned model artifact
 //!                                    (nn, svm, orc, tree, forest, mlp)
@@ -30,7 +28,7 @@ use std::time::Instant;
 
 use loopml::FEATURE_NAMES;
 use loopml_bench::cli::{self, FlagSpec, Parsed, Spec, EXIT_FAIL, EXIT_OK, EXIT_USAGE};
-use loopml_bench::{experiments, labelrun, lintrun, report, serverun, supervise, sweeprun, Scale};
+use loopml_bench::{experiments, labelrun, lintrun, report, serverun, sweeprun, Scale};
 use loopml_machine::SwpMode;
 use loopml_rt::Json;
 
@@ -79,14 +77,9 @@ const SWEEP_SPEC: Spec = Spec {
 
 const LABEL_SPEC: Spec = Spec {
     name: "label",
-    summary: "fault-tolerant labeling with retries, quarantine and checkpoints",
+    summary: "fault-tolerant labeling with retries and quarantine",
     positionals: "",
     flags: &[
-        FlagSpec {
-            flag: "--resume",
-            value: None,
-            help: "reuse valid checkpoints (requires --ckpt-dir)",
-        },
         FlagSpec {
             flag: "--out",
             value: Some("FILE"),
@@ -96,82 +89,6 @@ const LABEL_SPEC: Spec = Spec {
             flag: "--degradation",
             value: Some("FILE"),
             help: "degradation report path (default LABEL_degradation.json)",
-        },
-        FlagSpec {
-            flag: "--ckpt-dir",
-            value: Some("DIR"),
-            help: "checkpoint directory",
-        },
-        FlagSpec {
-            flag: "--retries",
-            value: Some("N"),
-            help: "retry budget override",
-        },
-        FlagSpec {
-            flag: "--shard",
-            value: Some("i/N"),
-            help: "label only benchmarks with index % N == i (multi-process work queue)",
-        },
-    ],
-};
-
-const LABEL_MERGE_SPEC: Spec = Spec {
-    name: "label-merge",
-    summary: "merge a complete set of disjoint label shards into the single-process file",
-    positionals: "<shard.json>...",
-    flags: &[
-        FlagSpec {
-            flag: "--out",
-            value: Some("FILE"),
-            help: "merged labels path (default LABEL_ml.json)",
-        },
-        FlagSpec {
-            flag: "--degradation",
-            value: Some("FILE"),
-            help: "also write the merged degradation report here",
-        },
-    ],
-};
-
-const LABEL_SUPERVISE_SPEC: Spec = Spec {
-    name: "label-supervise",
-    summary: "self-healing labeling queue: N shard processes, heartbeats, bounded restarts",
-    positionals: "<N>",
-    flags: &[
-        FlagSpec {
-            flag: "--dir",
-            value: Some("DIR"),
-            help: "shard outputs + checkpoint directory (default LABEL_shards)",
-        },
-        FlagSpec {
-            flag: "--out",
-            value: Some("FILE"),
-            help: "merged labels path (default LABEL_ml.json)",
-        },
-        FlagSpec {
-            flag: "--degradation",
-            value: Some("FILE"),
-            help: "merged degradation report path (default LABEL_degradation.json)",
-        },
-        FlagSpec {
-            flag: "--max-restarts",
-            value: Some("N"),
-            help: "per-shard restart budget (default 2)",
-        },
-        FlagSpec {
-            flag: "--stall-ms",
-            value: Some("MS"),
-            help: "heartbeat stall timeout (default 120000)",
-        },
-        FlagSpec {
-            flag: "--chaos-kill",
-            value: Some("i:K"),
-            help: "test hook: kill shard i once it has K checkpoint(s)",
-        },
-        FlagSpec {
-            flag: "--retries",
-            value: Some("N"),
-            help: "labeling retry budget passed through to shards",
         },
     ],
 };
@@ -256,13 +173,11 @@ const SERVE_STATS_CHECK_SPEC: Spec = Spec {
     ],
 };
 
-const SPECS: [Spec; 10] = [
+const SPECS: [Spec; 8] = [
     REPORT_SPEC,
     LINT_SPEC,
     SWEEP_SPEC,
     LABEL_SPEC,
-    LABEL_MERGE_SPEC,
-    LABEL_SUPERVISE_SPEC,
     LABEL_DIFF_SPEC,
     TRAIN_SPEC,
     SERVE_BENCH_SPEC,
@@ -283,8 +198,6 @@ fn run(args: &[String]) -> i32 {
         Some("lint") => dispatch(&LINT_SPEC, &args[1..], cmd_lint),
         Some("sweep") => dispatch(&SWEEP_SPEC, &args[1..], cmd_sweep),
         Some("label") => dispatch(&LABEL_SPEC, &args[1..], cmd_label),
-        Some("label-merge") => dispatch(&LABEL_MERGE_SPEC, &args[1..], cmd_label_merge),
-        Some("label-supervise") => dispatch(&LABEL_SUPERVISE_SPEC, &args[1..], cmd_label_supervise),
         Some("label-diff") => dispatch(&LABEL_DIFF_SPEC, &args[1..], cmd_label_diff),
         Some("train") => dispatch(&TRAIN_SPEC, &args[1..], cmd_train),
         Some("serve-bench") => dispatch(&SERVE_BENCH_SPEC, &args[1..], cmd_serve_bench),
@@ -380,39 +293,17 @@ fn cmd_sweep(p: &Parsed) -> i32 {
 }
 
 fn cmd_label(p: &Parsed) -> i32 {
-    let retries = match p.option("--retries").map(str::parse).transpose() {
-        Ok(r) => r,
-        Err(_) => {
-            eprintln!("repro label: bad --retries value");
-            return EXIT_USAGE;
-        }
-    };
-    let shard = match p.option("--shard").map(loopml::Shard::parse).transpose() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("repro label: {e}");
-            return EXIT_USAGE;
-        }
-    };
     let defaults = labelrun::LabelArgs::default();
     let a = labelrun::LabelArgs {
         scale: p.scale,
         take: p.smoke.then_some(8),
-        resume: p.has("--resume"),
-        retries,
         corpus_scale: p.corpus_scale,
-        shard,
         out: p.option("--out").map(PathBuf::from).unwrap_or(defaults.out),
         degradation: p
             .option("--degradation")
             .map(PathBuf::from)
             .unwrap_or(defaults.degradation),
-        ckpt_dir: p.option("--ckpt-dir").map(PathBuf::from),
     };
-    if a.resume && a.ckpt_dir.is_none() {
-        eprintln!("repro label: --resume requires --ckpt-dir");
-        return EXIT_USAGE;
-    }
     match labelrun::run_label(&a) {
         Ok(0) => EXIT_OK,
         Ok(denies) => {
@@ -421,92 +312,6 @@ fn cmd_label(p: &Parsed) -> i32 {
         }
         Err(e) => {
             eprintln!("[label] FAIL: {e}");
-            EXIT_FAIL
-        }
-    }
-}
-
-fn cmd_label_merge(p: &Parsed) -> i32 {
-    if p.positionals.is_empty() {
-        eprintln!("usage: repro label-merge <shard.json>... [--out FILE] [--degradation FILE]");
-        return EXIT_USAGE;
-    }
-    let out = PathBuf::from(p.option("--out").unwrap_or("LABEL_ml.json"));
-    let degradation = p.option("--degradation").map(PathBuf::from);
-    match labelrun::run_label_merge(&p.positionals, &out, degradation.as_deref()) {
-        Ok(()) => EXIT_OK,
-        // An overlapping, duplicated, or incomplete shard set is a
-        // malformed invocation; corrupt shard *data* is a failed run.
-        Err(e @ labelrun::MergeError::Spec(_)) => {
-            eprintln!("[label-merge] FAIL: {e}");
-            EXIT_USAGE
-        }
-        Err(e @ labelrun::MergeError::Data(_)) => {
-            eprintln!("[label-merge] FAIL: {e}");
-            EXIT_FAIL
-        }
-    }
-}
-
-fn cmd_label_supervise(p: &Parsed) -> i32 {
-    let [count] = &p.positionals[..] else {
-        eprintln!("usage: repro label-supervise <N> [options]");
-        return EXIT_USAGE;
-    };
-    let Ok(count) = count.parse::<usize>() else {
-        eprintln!("repro label-supervise: bad shard count {count:?}");
-        return EXIT_USAGE;
-    };
-    if count == 0 {
-        eprintln!("repro label-supervise: shard count must be at least 1");
-        return EXIT_USAGE;
-    }
-    let parse_num = |flag: &str| -> Result<Option<u64>, i32> {
-        match p.option(flag).map(str::parse).transpose() {
-            Ok(v) => Ok(v),
-            Err(_) => {
-                eprintln!("repro label-supervise: bad {flag} value");
-                Err(EXIT_USAGE)
-            }
-        }
-    };
-    let (max_restarts, stall_ms, retries) = match (
-        parse_num("--max-restarts"),
-        parse_num("--stall-ms"),
-        parse_num("--retries"),
-    ) {
-        (Ok(m), Ok(s), Ok(r)) => (m, s, r),
-        _ => return EXIT_USAGE,
-    };
-    let chaos_kill = match p.option("--chaos-kill").map(supervise::parse_chaos_kill) {
-        Some(Ok(spec)) => Some(spec),
-        Some(Err(e)) => {
-            eprintln!("repro label-supervise: {e}");
-            return EXIT_USAGE;
-        }
-        None => None,
-    };
-    let defaults = supervise::SuperviseArgs::default();
-    let a = supervise::SuperviseArgs {
-        count,
-        dir: p.option("--dir").map(PathBuf::from).unwrap_or(defaults.dir),
-        out: p.option("--out").map(PathBuf::from).unwrap_or(defaults.out),
-        degradation: p
-            .option("--degradation")
-            .map(PathBuf::from)
-            .unwrap_or(defaults.degradation),
-        max_restarts: max_restarts.map_or(defaults.max_restarts, |m| m as usize),
-        stall_ms: stall_ms.unwrap_or(defaults.stall_ms),
-        chaos_kill,
-        retries: retries.map(|r| r as u32),
-        scale: p.scale,
-        smoke: p.smoke,
-        corpus_scale: p.corpus_scale,
-    };
-    match supervise::run_label_supervise(&a) {
-        Ok(_) => EXIT_OK,
-        Err(e) => {
-            eprintln!("[label-supervise] FAIL: {e}");
             EXIT_FAIL
         }
     }

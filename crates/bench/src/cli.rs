@@ -279,9 +279,9 @@ mod tests {
                 help: "output path",
             },
             FlagSpec {
-                flag: "--resume",
+                flag: "--stats",
                 value: None,
-                help: "resume",
+                help: "print stats",
             },
         ],
     };
@@ -315,9 +315,9 @@ mod tests {
 
     #[test]
     fn subcommand_flags_need_a_spec_entry() {
-        let p = parse(&SPEC, &strs(&["--out", "x.json", "--resume"])).unwrap();
+        let p = parse(&SPEC, &strs(&["--out", "x.json", "--stats"])).unwrap();
         assert_eq!(p.option("--out"), Some("x.json"));
-        assert!(p.has("--resume"));
+        assert!(p.has("--stats"));
         assert!(!p.has("--out"));
 
         let err = parse(&SPEC, &strs(&["--bogus"])).unwrap_err();
@@ -332,7 +332,7 @@ mod tests {
         for needle in [
             "usage: repro demo",
             "--out FILE",
-            "--resume",
+            "--stats",
             "--smoke",
             "--corpus-scale S",
         ] {

@@ -22,10 +22,10 @@
 //! distance pass and emits `SWEEP_ml.json`, and the prediction-as-a-service
 //! surface (`repro train` / `repro serve-bench`, [`serverun`]), which
 //! emits the versioned model artifact `loopml-serve` loads and replays
-//! batched traffic against it, and the self-healing multi-process
-//! labeling queue (`repro label-supervise`, [`supervise`]), which
-//! shards labeling across child processes with heartbeat monitoring,
-//! bounded restarts, and fingerprint-verified merging.
+//! batched traffic against it, and fault-tolerant labeling
+//! (`repro label` / `repro label-diff`, [`labelrun`]), which labels the
+//! corpus in-process under retries and quarantine and checks that
+//! injected chaos costs coverage, never accuracy.
 //! Every subcommand shares one flag parser
 //! and exit-code convention ([`cli`]). Run `repro all` for everything,
 //! `--quick` for a reduced corpus.
@@ -39,7 +39,6 @@ pub mod labelrun;
 pub mod lintrun;
 pub mod report;
 pub mod serverun;
-pub mod supervise;
 pub mod sweeprun;
 
 pub use cli::Scale;

@@ -6,22 +6,20 @@
 //! trained [`Classifier`]'s saved state (weights, normalizer,
 //! hyperparameters), the feature subset it was trained on, and a config
 //! fingerprint under the `loopml/model/v1` schema, written atomically
-//! (temp file + rename) like PR 4's labeling checkpoints.
+//! (temp file + rename).
 //!
-//! Unlike checkpoints — where corruption silently falls back to
-//! recomputing — a stale or corrupt artifact must fail *loudly*: the
-//! consumer (the `loopml-serve` daemon, a compiler) has no corpus to
-//! fall back to, and serving predictions from the wrong model is a
-//! correctness bug, not a performance one. Every mismatch here is an
-//! `Err`, never a silent default.
+//! A stale or corrupt artifact must fail *loudly*: the consumer (the
+//! `loopml-serve` daemon, a compiler) has no corpus to fall back to,
+//! and serving predictions from the wrong model is a correctness bug,
+//! not a performance one. Every mismatch here is an `Err`, never a
+//! silent default.
 //!
 //! The fingerprint covers everything a trained model's *identity*
 //! depends on that is knowable without the weights: the training
 //! dataset (all feature bits and labels), the feature subset, the model
 //! kind, and its hyperparameters. [`Pipeline::load_artifact`] recomputes
 //! it from the current pipeline and rejects any artifact trained under
-//! a different configuration — mirroring the checkpoint fingerprint
-//! discipline, but erroring instead of silently relabeling.
+//! a different configuration.
 //!
 //! [`Pipeline::load_artifact`]: crate::builder::Pipeline::load_artifact
 

@@ -28,14 +28,13 @@ use loopml_ml::{
     Classifier, CvResult, Dataset, ForestParams, MlpParams, SvmParams, SweepConfig, SweepReport,
     TreeParams, DEFAULT_RADIUS,
 };
+use loopml_rt::FaultPlane;
 
 use crate::artifact::{model_fingerprint, ModelArtifact};
 use crate::evaluate::EvalConfig;
 use crate::fault::DegradationReport;
 use crate::heuristics::LearnedHeuristic;
-use crate::label::{
-    fail_on_crash, label_suite_resilient, LabelConfig, LabelRun, LabeledLoop, ResilienceConfig,
-};
+use crate::label::{fail_on_crash, label_suite_resilient, LabelConfig, LabelRun, LabeledLoop};
 use crate::pipeline::{benchmark_groups, informative_features, to_dataset};
 
 /// Builds a [`Pipeline`] from the paper's defaults, with every stage
@@ -139,8 +138,8 @@ impl PipelineBuilder {
     }
 
     /// Synthesizes, labels, featurizes and selects. Labeling runs through
-    /// [`label_suite_resilient`] under [`ResilienceConfig::default`], so
-    /// injected faults (`LOOPML_FAULTS`) and non-finite measurements are
+    /// [`label_suite_resilient`] under the environment's fault plane
+    /// ([`FaultPlane::env_or_disabled`]), so injected faults (`LOOPML_FAULTS`) and non-finite measurements are
     /// retried and quarantined instead of crashing the build; the
     /// accounting lands in [`Pipeline::degradation`].
     ///
@@ -165,7 +164,7 @@ impl PipelineBuilder {
             labeled,
             report: degradation,
             ..
-        } = label_suite_resilient(&suite, &label_config, &ResilienceConfig::default(), None);
+        } = label_suite_resilient(&suite, &label_config, &FaultPlane::env_or_disabled());
         fail_on_crash(&degradation);
         if label_config.lint.is_enabled() {
             let mut lint = loopml_lint::Report::with_env_suppressions();

@@ -85,14 +85,6 @@ impl QuarantineScope {
             QuarantineScope::Benchmark => "benchmark",
         }
     }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "loop" => Some(QuarantineScope::Loop),
-            "benchmark" => Some(QuarantineScope::Benchmark),
-            _ => None,
-        }
-    }
 }
 
 /// One work item excluded from the corpus, with the recorded reason.
@@ -130,31 +122,11 @@ impl QuarantineEntry {
         m.insert("attempts".into(), Json::Num(f64::from(self.attempts)));
         Json::Obj(m)
     }
-
-    /// Parses a value written by [`QuarantineEntry::to_json`].
-    pub fn from_json(v: &Json) -> Option<QuarantineEntry> {
-        Some(QuarantineEntry {
-            scope: QuarantineScope::parse(v.get("scope")?.as_str()?)?,
-            benchmark: v.get("benchmark")?.as_usize()?,
-            name: v.get("name")?.as_str()?.to_string(),
-            reason: v.get("reason")?.as_str()?.to_string(),
-            site: match v.get("site")? {
-                Json::Null => None,
-                Json::Str(s) => Some(s.clone()),
-                _ => return None,
-            },
-            attempts: v.get("attempts")?.as_usize()?.try_into().ok()?,
-        })
-    }
 }
 
 /// The outcome of fault-tolerantly labeling one benchmark.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkOutcome {
-    /// Index of the benchmark within the suite.
-    pub benchmark: usize,
-    /// Benchmark name (checked on checkpoint resume).
-    pub name: String,
     /// Loops that survived the paper's filters.
     pub labeled: Vec<crate::label::LabeledLoop>,
     /// Attempts consumed per labeled loop, aligned with `labeled`
@@ -170,13 +142,12 @@ pub struct BenchmarkOutcome {
 /// Machine-readable summary of how degraded a labeling run was.
 ///
 /// Written next to `LABEL_ml.json` as `LABEL_degradation.json` by
-/// `repro label`. Everything serialized here is a pure function of the
-/// run's inputs (seed, corpus, fault plane), so a resumed run emits a
-/// byte-identical report; the operational [`resumed`](Self::resumed)
-/// counter is deliberately left out of the JSON for that reason.
+/// `repro label`. Everything in it is a pure function of the run's
+/// inputs (seed, corpus, fault plane), so it is byte-identical at any
+/// thread count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradationReport {
-    /// Benchmarks in the suite.
+    /// Benchmarks in the labeled suite.
     pub benchmarks: usize,
     /// Benchmarks that completed labeling (possibly with loop-level
     /// quarantines).
@@ -191,9 +162,6 @@ pub struct DegradationReport {
     /// Faults observed, by injection site (plus `"panic"` and
     /// `"non-finite"` for genuine failures).
     pub fault_sites: BTreeMap<String, usize>,
-    /// Benchmarks restored from checkpoints instead of relabeled
-    /// (operational; not serialized).
-    pub resumed: usize,
 }
 
 /// Schema tag stamped into every degradation report.
@@ -219,7 +187,7 @@ impl DegradationReport {
         self.quarantined.len() as f64 / total as f64
     }
 
-    /// Serializes the report (see the type docs for what is included).
+    /// Serializes the report.
     pub fn to_json(&self) -> Json {
         let mut m = BTreeMap::new();
         m.insert("schema".into(), Json::Str(DEGRADATION_SCHEMA.into()));
@@ -260,44 +228,6 @@ impl DegradationReport {
         );
         Json::Obj(m)
     }
-
-    /// Parses a value written by [`DegradationReport::to_json`].
-    /// `resumed` is operational state that is never serialized, so it
-    /// comes back as 0.
-    pub fn from_json(v: &Json) -> Option<DegradationReport> {
-        if v.get("schema")?.as_str()? != DEGRADATION_SCHEMA {
-            return None;
-        }
-        let quarantined: Vec<QuarantineEntry> = v
-            .get("quarantine")?
-            .as_arr()?
-            .iter()
-            .map(QuarantineEntry::from_json)
-            .collect::<Option<_>>()?;
-        let map_counts = |key: &str| -> Option<Vec<(String, usize)>> {
-            match v.get(key)? {
-                Json::Obj(m) => m
-                    .iter()
-                    .map(|(k, c)| Some((k.clone(), c.as_usize()?)))
-                    .collect(),
-                _ => None,
-            }
-        };
-        let retry_histogram: BTreeMap<u32, usize> = map_counts("retry_histogram")?
-            .into_iter()
-            .map(|(k, c)| Some((k.parse().ok()?, c)))
-            .collect::<Option<_>>()?;
-        let fault_sites: BTreeMap<String, usize> = map_counts("fault_sites")?.into_iter().collect();
-        Some(DegradationReport {
-            benchmarks: v.get("benchmarks")?.as_usize()?,
-            completed: v.get("completed")?.as_usize()?,
-            labeled: v.get("labeled")?.as_usize()?,
-            quarantined,
-            retry_histogram,
-            fault_sites,
-            resumed: 0,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -316,16 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_entry_round_trips() {
-        let e = entry();
-        assert_eq!(QuarantineEntry::from_json(&e.to_json()), Some(e.clone()));
-        let mut b = e;
-        b.scope = QuarantineScope::Benchmark;
-        b.site = None;
-        assert_eq!(QuarantineEntry::from_json(&b.to_json()), Some(b));
-    }
-
-    #[test]
     fn degradation_report_serializes_and_rates() {
         let r = DegradationReport {
             benchmarks: 10,
@@ -336,7 +256,6 @@ mod tests {
             fault_sites: [("label.measure".to_string(), 7usize)]
                 .into_iter()
                 .collect(),
-            resumed: 4,
         };
         assert!((r.quarantine_rate() - 1.0 / 96.0).abs() < 1e-12);
         let doc = r.to_json();
@@ -346,9 +265,6 @@ mod tests {
             Some(DEGRADATION_SCHEMA)
         );
         assert_eq!(parsed.get("labeled").and_then(Json::as_num), Some(95.0));
-        // `resumed` is operational state, not data provenance: a resumed
-        // run must emit a byte-identical report.
-        assert!(parsed.get("resumed").is_none());
     }
 
     #[test]

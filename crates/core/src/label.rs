@@ -10,7 +10,6 @@
 //! must beat the mean of all factors by at least 1.05x.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 use loopml_ir::{Benchmark, WeightedLoop};
 use loopml_lint::{validate_pipeline, LintLevel};
@@ -19,7 +18,6 @@ use loopml_opt::{unroll_and_optimize, OptConfig};
 use loopml_rt::fault::site;
 use loopml_rt::{fault_key, par_map_result, FaultPlane, Rng};
 
-use crate::checkpoint::{config_fingerprint, read_checkpoint, write_checkpoint};
 use crate::fault::{
     BenchmarkOutcome, DegradationReport, LabelError, QuarantineEntry, QuarantineScope,
 };
@@ -238,84 +236,13 @@ fn label_attempt(
     }))
 }
 
-/// Default per-loop retry budget of the labeler: how many *additional*
-/// attempts a transiently-faulted loop gets before it is quarantined.
-pub const DEFAULT_RETRY_BUDGET: u32 = 3;
+/// Additional attempts a transiently-faulted loop gets before it is
+/// quarantined, so a quarantined loop records `RETRY_BUDGET + 1`
+/// attempts.
+pub const RETRY_BUDGET: u32 = 3;
 
-/// Knobs of the fault-tolerant labeling engine, independent of the
-/// measurement configuration so the same [`LabelConfig`] describes both
-/// a clean and a chaos run.
-#[derive(Debug, Clone)]
-pub struct ResilienceConfig {
-    /// Fault-injection plane (disabled outside chaos testing).
-    pub faults: FaultPlane,
-    /// Additional attempts per loop before quarantining it.
-    pub retry_budget: u32,
-    /// Directory for per-benchmark checkpoint files; `None` disables
-    /// checkpointing.
-    pub ckpt_dir: Option<PathBuf>,
-    /// Reuse valid checkpoints from `ckpt_dir` instead of relabeling.
-    pub resume: bool,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            faults: FaultPlane::env_or_disabled(),
-            retry_budget: DEFAULT_RETRY_BUDGET,
-            ckpt_dir: None,
-            resume: false,
-        }
-    }
-}
-
-/// One shard of a multi-process labeling work queue: the process owns
-/// exactly the benchmarks whose *global* suite index `bi` satisfies
-/// `bi % count == index`. Because every measurement seed
-/// ([`attempt_seed`]) and checkpoint filename is keyed by the global
-/// index, a shard labels its benchmarks bit-identically to a
-/// single-process run over the whole suite — merging disjoint shards
-/// reproduces that run byte-for-byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// This process's shard index, in `0..count`.
-    pub index: usize,
-    /// Total number of shards the suite is split across.
-    pub count: usize,
-}
-
-impl Shard {
-    /// Parses the CLI form `i/N` (e.g. `"0/3"`). Rejects `N == 0`,
-    /// `i >= N`, and anything non-numeric — these are usage errors.
-    pub fn parse(s: &str) -> Result<Shard, String> {
-        let (i, n) = s
-            .split_once('/')
-            .ok_or_else(|| format!("bad shard spec {s:?}: expected i/N"))?;
-        let index: usize = i
-            .parse()
-            .map_err(|_| format!("bad shard index {i:?}: expected an integer"))?;
-        let count: usize = n
-            .parse()
-            .map_err(|_| format!("bad shard count {n:?}: expected an integer"))?;
-        if count == 0 {
-            return Err("shard count must be at least 1".into());
-        }
-        if index >= count {
-            return Err(format!(
-                "shard index {index} out of range for {count} shard(s)"
-            ));
-        }
-        Ok(Shard { index, count })
-    }
-
-    /// Whether this shard owns the benchmark at global suite index `bi`.
-    pub fn owns(&self, benchmark_index: usize) -> bool {
-        benchmark_index % self.count == self.index
-    }
-}
-
-/// The result of a fault-tolerant labeling run: the surviving corpus
-/// plus the degradation accounting that says what it cost.
+/// The result of a labeling run: the surviving corpus plus the
+/// degradation accounting that says what it cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabelRun {
     /// Labeled loops, in suite order.
@@ -325,7 +252,7 @@ pub struct LabelRun {
     /// under a retry seed and may legitimately differ from a fault-free
     /// run — see `DESIGN.md` §9).
     pub attempts: Vec<u32>,
-    /// What was retried, quarantined, and resumed.
+    /// What was retried and quarantined.
     pub report: DegradationReport,
 }
 
@@ -334,7 +261,7 @@ pub struct LabelRun {
 /// leave-one-benchmark-out protocol. Each loop's eight variants are
 /// validated first (under [`LabelConfig::lint`]), then costed once;
 /// every attempt observes those cycles through fresh noise. Transient
-/// faults at [`site::LABEL_MEASURE`] consume the loop's retry budget
+/// faults at [`site::LABEL_MEASURE`] consume the loop's [`RETRY_BUDGET`]
 /// (each retry re-measures under a fresh deterministic seed — see
 /// [`attempt_seed`]); a loop that exhausts it is quarantined, not
 /// fatal. The [`site::LABEL_LOOP`] injection site (keyed by benchmark
@@ -346,13 +273,11 @@ pub fn label_benchmark(
     b: &Benchmark,
     benchmark_index: usize,
     cfg: &LabelConfig,
-    res: &ResilienceConfig,
+    faults: &FaultPlane,
 ) -> BenchmarkOutcome {
-    res.faults.trip(site::LABEL_LOOP, benchmark_index as u64);
+    faults.trip(site::LABEL_LOOP, benchmark_index as u64);
     let footprint = hot_footprint(b);
     let mut outcome = BenchmarkOutcome {
-        benchmark: benchmark_index,
-        name: b.name.clone(),
         labeled: Vec::new(),
         attempts: Vec::new(),
         quarantined: Vec::new(),
@@ -367,8 +292,8 @@ pub fn label_benchmark(
         let truth = variant_cycles(w, FACTORS, Some(footprint), &cfg.opt, &cfg.machine, cfg.swp)
             .map(|(cycles, _)| cycles);
         let mut last = None;
-        for attempt in 0..=res.retry_budget {
-            match label_attempt(w, li, benchmark_index, &truth, cfg, &res.faults, attempt) {
+        for attempt in 0..=RETRY_BUDGET {
+            match label_attempt(w, li, benchmark_index, &truth, cfg, faults, attempt) {
                 Ok(labeled) => {
                     if let Some(l) = labeled {
                         outcome.labeled.push(l);
@@ -392,79 +317,52 @@ pub fn label_benchmark(
             name: w.body.name.clone(),
             reason: last.to_string(),
             site: last.site().map(str::to_string),
-            attempts: res.retry_budget + 1,
+            attempts: RETRY_BUDGET + 1,
         });
     }
     outcome
 }
 
-/// Labels a whole suite fault-tolerantly: benchmarks run in parallel
-/// under panic isolation ([`loopml_rt::par_map_result`]), completed
-/// benchmarks are checkpointed (when `res.ckpt_dir` is set), and
-/// `res.resume` reuses valid checkpoints instead of relabeling. The
+/// Labels a whole suite fault-tolerantly under `faults`: benchmarks run
+/// in parallel under panic isolation ([`loopml_rt::par_map_result`]),
+/// and a benchmark whose labeling panics is quarantined whole. The
 /// surviving labels come back in suite order, bit-identical at any
 /// thread count.
-///
-/// `shard` restricts the run to one [`Shard`] of the suite (`None`
-/// labels everything). `suite` is always the **full** suite: the shard
-/// only selects which benchmarks this process labels, while seeds,
-/// checkpoint filenames and the `benchmark` index recorded in every
-/// label stay global — so the shard's output is the exact sub-sequence
-/// a single-process run would have produced for those benchmarks.
-/// `report.benchmarks` counts only the owned benchmarks, making shard
-/// reports sum to the single-process report.
 pub fn label_suite_resilient(
     suite: &[Benchmark],
     cfg: &LabelConfig,
-    res: &ResilienceConfig,
-    shard: Option<Shard>,
+    faults: &FaultPlane,
 ) -> LabelRun {
-    let fingerprint = config_fingerprint(cfg, res.retry_budget, &res.faults);
-    let owned = |bi: usize| shard.is_none_or(|s| s.owns(bi));
-    let owned_count = (0..suite.len()).filter(|&bi| owned(bi)).count();
+    let indexed: Vec<(usize, &Benchmark)> = suite.iter().enumerate().collect();
+    let results = par_map_result(&indexed, |&(bi, b)| label_benchmark(b, bi, cfg, faults));
 
-    // Phase 1: reload checkpointed benchmarks.
-    let mut outcomes: Vec<Option<BenchmarkOutcome>> = vec![None; suite.len()];
-    let mut resumed = 0usize;
-    if res.resume {
-        if let Some(dir) = &res.ckpt_dir {
-            for (bi, b) in suite.iter().enumerate().filter(|&(bi, _)| owned(bi)) {
-                if let Some(o) = read_checkpoint(dir, bi, &b.name, fingerprint) {
-                    outcomes[bi] = Some(o);
-                    resumed += 1;
-                }
-            }
-        }
-    }
-
-    // Phase 2: label the rest in parallel, isolating worker panics.
-    let todo: Vec<(usize, &Benchmark)> = suite
-        .iter()
-        .enumerate()
-        .filter(|&(bi, _)| owned(bi) && outcomes[bi].is_none())
-        .collect();
-    let results = par_map_result(&todo, |&(bi, b)| {
-        let outcome = label_benchmark(b, bi, cfg, res);
-        if let Some(dir) = &res.ckpt_dir {
-            if let Err(e) = write_checkpoint(dir, &outcome, fingerprint) {
-                eprintln!(
-                    "loopml: warning: checkpoint for {} not written: {e}",
-                    b.name
-                );
-            }
-        }
-        outcome
-    });
-    let mut crashed: Vec<QuarantineEntry> = Vec::new();
-    let mut crash_sites: BTreeMap<String, usize> = BTreeMap::new();
-    for (&(bi, b), result) in todo.iter().zip(results) {
+    // Aggregate in suite order so output order never depends on
+    // scheduling or on which benchmarks crashed.
+    let mut labeled = Vec::new();
+    let mut attempts = Vec::new();
+    let mut quarantined = Vec::new();
+    let mut retry_histogram: BTreeMap<u32, usize> = BTreeMap::new();
+    let mut fault_sites: BTreeMap<String, usize> = BTreeMap::new();
+    let mut completed = 0usize;
+    for ((bi, b), result) in indexed.into_iter().zip(results) {
         match result {
-            Ok(o) => outcomes[bi] = Some(o),
+            Ok(outcome) => {
+                completed += 1;
+                for &a in &outcome.attempts {
+                    *retry_histogram.entry(a).or_insert(0) += 1;
+                }
+                for (k, v) in outcome.fault_sites {
+                    *fault_sites.entry(k).or_insert(0) += v;
+                }
+                labeled.extend(outcome.labeled);
+                attempts.extend(outcome.attempts);
+                quarantined.extend(outcome.quarantined);
+            }
             Err(err) => {
-                *crash_sites
+                *fault_sites
                     .entry(err.injected.unwrap_or("panic").to_string())
                     .or_insert(0) += 1;
-                crashed.push(QuarantineEntry {
+                quarantined.push(QuarantineEntry {
                     scope: QuarantineScope::Benchmark,
                     benchmark: bi,
                     name: b.name.clone(),
@@ -475,38 +373,13 @@ pub fn label_suite_resilient(
             }
         }
     }
-
-    // Phase 3: aggregate in suite order so output order never depends on
-    // scheduling, resume state, or which benchmarks crashed.
-    let mut labeled = Vec::new();
-    let mut attempts = Vec::new();
-    let mut quarantined = Vec::new();
-    let mut retry_histogram: BTreeMap<u32, usize> = BTreeMap::new();
-    let mut fault_sites = crash_sites;
-    let mut completed = 0usize;
-    for outcome in outcomes.into_iter().flatten() {
-        completed += 1;
-        for &a in &outcome.attempts {
-            *retry_histogram.entry(a).or_insert(0) += 1;
-        }
-        for (k, v) in outcome.fault_sites {
-            *fault_sites.entry(k).or_insert(0) += v;
-        }
-        labeled.extend(outcome.labeled);
-        attempts.extend(outcome.attempts);
-        quarantined.extend(outcome.quarantined);
-    }
-    crashed.sort_by_key(|e| e.benchmark);
-    quarantined.extend(crashed);
-    quarantined.sort_by_key(|e| e.benchmark);
     let report = DegradationReport {
-        benchmarks: owned_count,
+        benchmarks: suite.len(),
         completed,
         labeled: labeled.len(),
         quarantined,
         retry_histogram,
         fault_sites,
-        resumed,
     };
     LabelRun {
         labeled,
@@ -545,8 +418,7 @@ pub(crate) fn break_first_latch(b: &mut Benchmark) {
 }
 
 /// The fault-free view of [`label_suite_resilient`]: the whole suite
-/// with fault injection disabled, no checkpoints and no shard, keeping
-/// only the labeled loops.
+/// with fault injection disabled, keeping only the labeled loops.
 ///
 /// # Panics
 ///
@@ -554,13 +426,7 @@ pub(crate) fn break_first_latch(b: &mut Benchmark) {
 /// and the panic message: a crash here is a bug or a transform-validation
 /// deny under [`LintLevel::Deny`], since no fault is injected.
 pub fn label_suite(suite: &[Benchmark], cfg: &LabelConfig) -> Vec<LabeledLoop> {
-    let res = ResilienceConfig {
-        faults: FaultPlane::disabled(),
-        retry_budget: DEFAULT_RETRY_BUDGET,
-        ckpt_dir: None,
-        resume: false,
-    };
-    let run = label_suite_resilient(suite, cfg, &res, None);
+    let run = label_suite_resilient(suite, cfg, &FaultPlane::disabled());
     fail_on_crash(&run.report);
     run.labeled
 }
@@ -681,29 +547,22 @@ mod tests {
             .collect()
     }
 
-    fn resilient(faults: FaultPlane) -> ResilienceConfig {
-        ResilienceConfig {
-            faults,
-            ..ResilienceConfig::default()
-        }
-    }
-
-    /// [`label_suite_resilient`] over the whole suite on `threads`
-    /// workers.
+    /// [`label_suite_resilient`] over the whole suite under `faults` on
+    /// `threads` workers.
     fn run_on(
         threads: usize,
         suite: &[Benchmark],
         cfg: &LabelConfig,
-        res: &ResilienceConfig,
+        faults: FaultPlane,
     ) -> LabelRun {
-        with_threads(threads, || label_suite_resilient(suite, cfg, res, None))
+        with_threads(threads, || label_suite_resilient(suite, cfg, &faults))
     }
 
     #[test]
     fn fault_free_runs_are_thread_invariant() {
         let suite = suite();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
-        let run = |threads| run_on(threads, &suite, &cfg, &resilient(FaultPlane::disabled()));
+        let run = |threads| run_on(threads, &suite, &cfg, FaultPlane::disabled());
         let reference = run(1);
         assert!(!reference.labeled.is_empty());
         assert!(reference.attempts.iter().all(|&a| a == 0));
@@ -739,7 +598,7 @@ mod tests {
         let suite = suite();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
         let all = FaultPlane::new(1, 1.0).at_site(site::LABEL_MEASURE);
-        let run = run_on(1, &suite, &cfg, &resilient(all));
+        let run = run_on(1, &suite, &cfg, all);
         assert!(run.labeled.is_empty());
         assert!(!run.report.quarantined.is_empty());
         assert!(run
@@ -747,7 +606,7 @@ mod tests {
             .quarantined
             .iter()
             .all(|q| q.scope == QuarantineScope::Loop
-                && q.attempts == DEFAULT_RETRY_BUDGET + 1
+                && q.attempts == RETRY_BUDGET + 1
                 && q.site.as_deref() == Some(site::LABEL_MEASURE)));
         assert_eq!(
             run.report.completed,
@@ -760,7 +619,7 @@ mod tests {
         // makes eight faultable measurements per attempt, so even a 10%
         // rate faults most first attempts.)
         let some = FaultPlane::new(7, 0.1).at_site(site::LABEL_MEASURE);
-        let run = run_on(1, &suite, &cfg, &resilient(some));
+        let run = run_on(1, &suite, &cfg, some);
         assert!(!run.labeled.is_empty());
         assert!(run.attempts.iter().any(|&a| a > 0), "some retries expected");
         assert!(run.report.fault_sites.contains_key(site::LABEL_MEASURE));
@@ -771,9 +630,9 @@ mod tests {
         let suite = suite();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
         let plane = || FaultPlane::new(0xC4A05, 0.25);
-        let reference = run_on(1, &suite, &cfg, &resilient(plane()));
+        let reference = run_on(1, &suite, &cfg, plane());
         for threads in [2, 4] {
-            let run = run_on(threads, &suite, &cfg, &resilient(plane()));
+            let run = run_on(threads, &suite, &cfg, plane());
             assert_eq!(run, reference, "chaos diverged at {threads} threads");
         }
     }
@@ -785,7 +644,7 @@ mod tests {
         let plane = FaultPlane::new(0, 1.0)
             .at_site(site::LABEL_LOOP)
             .only_keys(vec![1]);
-        let run = run_on(4, &suite, &cfg, &resilient(plane));
+        let run = run_on(4, &suite, &cfg, plane);
         let bench_q: Vec<_> = run
             .report
             .quarantined
@@ -801,9 +660,7 @@ mod tests {
         assert!(run.labeled.iter().all(|l| l.benchmark != 1));
         let alone: Vec<LabeledLoop> = [0usize, 2]
             .into_iter()
-            .flat_map(|bi| {
-                label_benchmark(&suite[bi], bi, &cfg, &resilient(FaultPlane::disabled())).labeled
-            })
+            .flat_map(|bi| label_benchmark(&suite[bi], bi, &cfg, &FaultPlane::disabled()).labeled)
             .collect();
         assert_eq!(run.labeled, alone);
     }
@@ -818,7 +675,7 @@ mod tests {
         };
         // The engine isolates the crash and records it, as `repro label`
         // reports it...
-        let run = run_on(2, &suite, &cfg, &resilient(FaultPlane::disabled()));
+        let run = run_on(2, &suite, &cfg, FaultPlane::disabled());
         let q = &run.report.quarantined;
         assert_eq!(q.len(), 1, "{q:?}");
         assert_eq!(q[0].scope, QuarantineScope::Benchmark);
@@ -830,130 +687,5 @@ mod tests {
         let name = &suite[1].name;
         assert!(msg.contains(&format!("labeling {name} crashed")), "{msg}");
         assert!(msg.contains("deny"), "{msg}");
-    }
-
-    #[test]
-    fn shard_spec_parses_and_rejects_nonsense() {
-        assert_eq!(Shard::parse("0/3"), Ok(Shard { index: 0, count: 3 }));
-        assert_eq!(Shard::parse("2/3"), Ok(Shard { index: 2, count: 3 }));
-        for bad in ["3/3", "5/2", "0/0", "1/0", "x/3", "0/y", "03", "", "1/2/3"] {
-            assert!(Shard::parse(bad).is_err(), "{bad:?} should be rejected");
-        }
-        let s = Shard { index: 1, count: 3 };
-        assert!(s.owns(1) && s.owns(4));
-        assert!(!s.owns(0) && !s.owns(2) && !s.owns(3));
-    }
-
-    #[test]
-    fn sharded_runs_partition_the_single_process_run() {
-        let suite = suite();
-        let cfg = LabelConfig::paper(SwpMode::Disabled);
-        let res = resilient(FaultPlane::disabled());
-        let (full, shards) = with_threads(2, || {
-            let full = label_suite_resilient(&suite, &cfg, &res, None);
-            let shards: Vec<LabelRun> = (0..2)
-                .map(|index| {
-                    label_suite_resilient(&suite, &cfg, &res, Some(Shard { index, count: 2 }))
-                })
-                .collect();
-            (full, shards)
-        });
-        let count = 2;
-
-        // Each shard's labels are the exact sub-sequence the full run
-        // produced for its benchmarks, bit for bit.
-        for (i, run) in shards.iter().enumerate() {
-            let s = Shard { index: i, count };
-            assert!(run.labeled.iter().all(|l| s.owns(l.benchmark)));
-            let expected: Vec<&LabeledLoop> = full
-                .labeled
-                .iter()
-                .filter(|l| s.owns(l.benchmark))
-                .collect();
-            assert_eq!(run.labeled.iter().collect::<Vec<_>>(), expected);
-        }
-
-        // Interleaving shard labels by global benchmark index rebuilds
-        // the single-process run exactly, and the accounting sums.
-        let mut pairs: Vec<(LabeledLoop, u32)> = shards
-            .iter()
-            .flat_map(|r| r.labeled.iter().cloned().zip(r.attempts.iter().copied()))
-            .collect();
-        pairs.sort_by_key(|(l, _)| l.benchmark);
-        let merged: Vec<LabeledLoop> = pairs.iter().map(|(l, _)| l.clone()).collect();
-        assert_eq!(merged, full.labeled);
-        let benchmarks: usize = shards.iter().map(|r| r.report.benchmarks).sum();
-        assert_eq!(benchmarks, full.report.benchmarks);
-        let completed: usize = shards.iter().map(|r| r.report.completed).sum();
-        assert_eq!(completed, full.report.completed);
-    }
-
-    #[test]
-    fn checkpoints_with_fractional_counts_are_relabeled() {
-        let suite = suite();
-        let cfg = LabelConfig::paper(SwpMode::Disabled);
-        let dir = std::env::temp_dir().join("loopml_label_whole_counts_unit");
-        let _ = std::fs::remove_dir_all(&dir);
-        let full = ResilienceConfig {
-            faults: FaultPlane::disabled(),
-            ckpt_dir: Some(dir.clone()),
-            ..ResilienceConfig::default()
-        };
-        let clean = run_on(2, &suite, &cfg, &full);
-
-        // Overwrite the first value of `key` in benchmark `bi`'s
-        // checkpoint: a corrupt count must be relabeled, never truncated
-        // into a label or an attempt index.
-        let corrupt = |bi: usize, key: &str, value: &str| {
-            let path = crate::checkpoint::checkpoint_path(&dir, bi, &suite[bi].name);
-            let text = std::fs::read_to_string(&path).expect("checkpoint existed");
-            let at = text.find(&format!("\"{key}\":")).expect("key present") + key.len() + 3;
-            let end = at + text[at..].find([',', '}']).expect("value ends");
-            std::fs::write(&path, format!("{}{value}{}", &text[..at], &text[end..])).unwrap();
-        };
-        corrupt(0, "label", "7.75");
-        corrupt(2, "attempts", "-3");
-
-        let resume = ResilienceConfig {
-            resume: true,
-            ..full
-        };
-        let resumed = run_on(2, &suite, &cfg, &resume);
-        assert_eq!(resumed.report.resumed, suite.len() - 2);
-        assert_eq!(resumed.labeled, clean.labeled);
-        assert_eq!(resumed.attempts, clean.attempts);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpoint_resume_is_bit_identical() {
-        let suite = suite();
-        let cfg = LabelConfig::paper(SwpMode::Disabled);
-        let dir = std::env::temp_dir().join("loopml_label_resume_unit");
-        let _ = std::fs::remove_dir_all(&dir);
-        let plane = || FaultPlane::new(9, 0.2).at_site(site::LABEL_MEASURE);
-        let full = ResilienceConfig {
-            faults: plane(),
-            ckpt_dir: Some(dir.clone()),
-            ..ResilienceConfig::default()
-        };
-        let clean = run_on(2, &suite, &cfg, &full);
-
-        // Simulate dying partway: drop one checkpoint, resume.
-        std::fs::remove_file(crate::checkpoint::checkpoint_path(&dir, 1, &suite[1].name))
-            .expect("checkpoint existed");
-        let resume = ResilienceConfig {
-            resume: true,
-            ..full
-        };
-        let resumed = run_on(2, &suite, &cfg, &resume);
-        assert_eq!(resumed.labeled, clean.labeled);
-        assert_eq!(resumed.attempts, clean.attempts);
-        assert_eq!(resumed.report.resumed, 2);
-        // The report content (everything serialized) matches exactly.
-        assert_eq!(
-            resumed.report.to_json().to_string(),
-            clean.report.to_json().to_string()
-        );
     }
 }

@@ -23,13 +23,11 @@
 //! model implementing the object-safe [`loopml_ml::Classifier`] trait
 //! plugs into the pipeline unchanged.
 //!
-//! There is one labeling engine, and it is fault-tolerant:
+//! There is one labeling engine, in-process and fault-tolerant:
 //! [`label::label_suite_resilient`] retries transient failures under
 //! fresh deterministic seeds, quarantines work that exhausts its budget
-//! (reported via [`fault::DegradationReport`]), checkpoints completed
-//! benchmarks for `repro label --resume` ([`checkpoint`]), labels one
-//! shard of a multi-process run, and withstands the deterministic chaos
-//! of [`loopml_rt::FaultPlane`] (`LOOPML_FAULTS`).
+//! (reported via [`fault::DegradationReport`]), and withstands the
+//! deterministic chaos of [`loopml_rt::FaultPlane`] (`LOOPML_FAULTS`).
 //! [`label::label_suite`] is its fault-free view, and
 //! [`PipelineBuilder`] labels through it with the environment's fault
 //! plane; both fail fast on a benchmark crash that no fault injected.
@@ -60,7 +58,6 @@
 
 pub mod artifact;
 pub mod builder;
-pub mod checkpoint;
 pub mod evaluate;
 pub mod fault;
 pub mod features;
@@ -72,10 +69,6 @@ pub use artifact::{
     classifier_for_kind, dataset_fingerprint, model_fingerprint, ModelArtifact, MODEL_SCHEMA,
 };
 pub use builder::{Pipeline, PipelineBuilder};
-pub use checkpoint::{
-    checkpoint_path, config_fingerprint, labeled_from_json, labeled_to_json, read_checkpoint,
-    write_checkpoint, CKPT_SCHEMA,
-};
 pub use evaluate::{
     improvement, measure_benchmark, measure_oracle, oracle_choices, run_benchmark, EvalConfig,
 };
@@ -89,7 +82,7 @@ pub use heuristics::{
 };
 pub use label::{
     attempt_seed, hot_footprint, label_benchmark, label_suite, label_suite_resilient, LabelConfig,
-    LabelRun, LabeledLoop, ResilienceConfig, Shard, DEFAULT_RETRY_BUDGET, MAX_UNROLL,
+    LabelRun, LabeledLoop, MAX_UNROLL, RETRY_BUDGET,
 };
 pub use pipeline::{
     benchmark_groups, informative_features, loocv_accuracy, svm_training_error, to_dataset,

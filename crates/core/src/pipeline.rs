@@ -70,7 +70,7 @@ pub fn loocv_accuracy(data: &Dataset, clf: &dyn Classifier) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::label::{label_benchmark, LabelConfig, ResilienceConfig};
+    use crate::label::{label_benchmark, LabelConfig};
     use loopml_corpus::{synthesize, SuiteConfig, ROSTER};
     use loopml_machine::{NoiseModel, SwpMode};
 
@@ -87,7 +87,7 @@ mod tests {
             noise: NoiseModel::exact(),
             ..LabelConfig::paper(SwpMode::Disabled)
         };
-        label_benchmark(&b, 3, &cfg, &ResilienceConfig::default()).labeled
+        label_benchmark(&b, 3, &cfg, &loopml_rt::FaultPlane::disabled()).labeled
     }
 
     #[test]

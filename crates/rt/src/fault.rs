@@ -184,30 +184,6 @@ impl FaultPlane {
         ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < self.rate
     }
 
-    /// A stable fingerprint of the full fault configuration: seed, rate,
-    /// site filter and key filter. Checkpointing layers fold this into
-    /// their config fingerprints so state written under one chaos
-    /// configuration is never reused under another — a disabled plane, a
-    /// different seed and a different site filter all fingerprint
-    /// differently.
-    pub fn fingerprint(&self) -> u64 {
-        let mut parts = vec![
-            self.seed,
-            self.rate.to_bits(),
-            self.site.as_deref().map_or(0, fault_key_str),
-        ];
-        // Length-prefix the key filter so `Some(vec![])` and `None`
-        // cannot collide.
-        match &self.only_keys {
-            None => parts.push(u64::MAX),
-            Some(keys) => {
-                parts.push(keys.len() as u64);
-                parts.extend_from_slice(keys);
-            }
-        }
-        fault_key(&parts)
-    }
-
     /// Errs with an [`InjectedFault`] when `(site, key)` faults — for
     /// call sites with a `Result` path.
     pub fn check(&self, site: &'static str, key: u64) -> Result<(), InjectedFault> {
@@ -367,30 +343,6 @@ mod tests {
             "7:0.1:no.such.site",
         ] {
             assert_eq!(parse_spec(bad), None, "{bad:?} should not parse");
-        }
-    }
-
-    #[test]
-    fn fingerprint_separates_every_configuration_axis() {
-        let base = FaultPlane::new(7, 0.25);
-        assert_eq!(base.fingerprint(), FaultPlane::new(7, 0.25).fingerprint());
-        let distinct = [
-            FaultPlane::disabled(),
-            base.clone(),
-            FaultPlane::new(8, 0.25),
-            FaultPlane::new(7, 0.5),
-            base.clone().at_site(site::LABEL_MEASURE),
-            base.clone().at_site(site::LABEL_LOOP),
-            base.clone().only_keys(vec![]),
-            base.clone().only_keys(vec![1, 2]),
-            base.clone().only_keys(vec![2, 1]),
-        ];
-        for (i, a) in distinct.iter().enumerate() {
-            for (j, b) in distinct.iter().enumerate() {
-                if i != j {
-                    assert_ne!(a.fingerprint(), b.fingerprint(), "{a:?} vs {b:?}");
-                }
-            }
         }
     }
 

@@ -32,9 +32,9 @@ pub enum Json {
     Obj(BTreeMap<String, Json>),
 }
 
-/// Maximum nesting depth the parser accepts. Checkpoint/resume makes the
-/// parser a crash-recovery path, so it must be total: without a bound, a
-/// corrupted document of ten thousand `[`s would overflow the stack
+/// Maximum nesting depth the parser accepts. The serving daemon parses
+/// untrusted wire requests, so the parser must be total: without a
+/// bound, a request line of ten thousand `[`s would overflow the stack
 /// (an abort, not a catchable error).
 const MAX_DEPTH: usize = 128;
 
@@ -435,9 +435,9 @@ mod tests {
 
     #[test]
     fn parse_never_panics_on_mutated_documents() {
-        // Checkpoint/resume reads these documents back after crashes, so
-        // the parser must be total: any byte-level corruption of a valid
-        // document yields Ok or Err, never a panic.
+        // The daemon parses untrusted request lines, so the parser must
+        // be total: any byte-level corruption of a valid document yields
+        // Ok or Err, never a panic.
         crate::check("json_parse_total_under_mutation", 400, |rng| {
             let mut bytes = random_json(rng, 0).to_string().into_bytes();
             for _ in 0..rng.gen_range(1..6usize) {
@@ -485,8 +485,9 @@ mod tests {
 
     #[test]
     fn finite_floats_round_trip_bit_exactly() {
-        // Checkpointed runtimes must survive serialize → parse without
-        // losing a bit, or resume would not be bit-identical.
+        // Model artifacts store trained weights as JSON numbers; they
+        // must survive serialize → parse without losing a bit, or a
+        // loaded model would not predict as the trained one did.
         crate::check("json_f64_round_trip", 300, |rng| {
             let v = match rng.gen_range(0..3u32) {
                 0 => rng.gen_range(-1.0e9..1.0e9),

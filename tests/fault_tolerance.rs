@@ -1,11 +1,11 @@
 //! Integration tests for the fault-tolerant labeling pipeline: a
 //! benchmark that always faults never contaminates its siblings, chaos
-//! runs are deterministic at any thread count, the evaluation layer
-//! degrades gracefully, and checkpoint/resume is bit-identical.
+//! runs are deterministic at any thread count, and the evaluation layer
+//! degrades gracefully.
 
 use loopml::{
     label_benchmark, label_suite_resilient, measure_benchmark, EvalConfig, LabelConfig, LabelRun,
-    LabeledLoop, OrcHeuristic, QuarantineScope, ResilienceConfig,
+    LabeledLoop, OrcHeuristic, QuarantineScope,
 };
 use loopml_corpus::{synthesize, SuiteConfig, ROSTER};
 use loopml_ir::Benchmark;
@@ -34,18 +34,9 @@ fn cfg() -> LabelConfig {
     LabelConfig::paper(SwpMode::Disabled)
 }
 
-fn resilience(faults: FaultPlane) -> ResilienceConfig {
-    ResilienceConfig {
-        faults,
-        ..ResilienceConfig::default()
-    }
-}
-
 /// The whole suite labeled under `faults` on `threads` workers.
 fn run_on(threads: usize, suite: &[Benchmark], faults: FaultPlane) -> LabelRun {
-    with_threads(threads, || {
-        label_suite_resilient(suite, &cfg(), &resilience(faults), None)
-    })
+    with_threads(threads, || label_suite_resilient(suite, &cfg(), &faults))
 }
 
 /// The headline guarantee: a corpus where one synthetic benchmark
@@ -59,9 +50,7 @@ fn crashing_benchmark_never_contaminates_siblings() {
         .iter()
         .enumerate()
         .filter(|(bi, _)| *bi != poisoned)
-        .flat_map(|(bi, b)| {
-            label_benchmark(b, bi, &cfg(), &resilience(FaultPlane::disabled())).labeled
-        })
+        .flat_map(|(bi, b)| label_benchmark(b, bi, &cfg(), &FaultPlane::disabled()).labeled)
         .collect();
     assert!(!alone.is_empty());
 
@@ -157,140 +146,4 @@ fn eval_faults_are_isolated_per_benchmark() {
             assert_eq!(r.expect("healthy benchmark"), *want, "benchmark {bi}");
         }
     }
-}
-
-/// Kill/resume: a checkpointed chaos run, interrupted by deleting and
-/// corrupting checkpoint files, resumes to byte-identical artifacts.
-#[test]
-fn resume_after_partial_loss_is_bit_identical() {
-    let suite = small_suite();
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fault_tolerance_resume");
-    let _ = std::fs::remove_dir_all(&dir);
-    let plane = || FaultPlane::new(0xFEED, 0.05).at_site(site::LABEL_MEASURE);
-    let full_cfg = ResilienceConfig {
-        faults: plane(),
-        ckpt_dir: Some(dir.clone()),
-        ..ResilienceConfig::default()
-    };
-    let full = with_threads(2, || label_suite_resilient(&suite, &cfg(), &full_cfg, None));
-
-    // "Crash": one checkpoint disappears, another is truncated mid-write.
-    let gone = loopml::checkpoint_path(&dir, 0, &suite[0].name);
-    std::fs::remove_file(&gone).expect("checkpoint existed");
-    let torn = loopml::checkpoint_path(&dir, 3, &suite[3].name);
-    let text = std::fs::read_to_string(&torn).expect("checkpoint existed");
-    std::fs::write(&torn, &text[..text.len() / 3]).expect("truncate");
-
-    let resume_cfg = ResilienceConfig {
-        resume: true,
-        ..full_cfg
-    };
-    let resumed = with_threads(2, || {
-        label_suite_resilient(&suite, &cfg(), &resume_cfg, None)
-    });
-    assert_eq!(resumed.labeled, full.labeled);
-    assert_eq!(resumed.attempts, full.attempts);
-    assert_eq!(resumed.report.resumed, 2, "two checkpoints survived");
-    assert_eq!(
-        resumed.report.to_json().to_string(),
-        full.report.to_json().to_string(),
-        "degradation reports must serialize identically"
-    );
-
-    // A config change invalidates every checkpoint instead of reusing
-    // stale measurements.
-    let reseeded = LabelConfig {
-        seed: cfg().seed ^ 1,
-        ..cfg()
-    };
-    let fresh = with_threads(2, || {
-        label_suite_resilient(&suite, &reseeded, &resume_cfg, None)
-    });
-    assert_eq!(fresh.report.resumed, 0, "stale checkpoints must be ignored");
-}
-
-/// Killed-shard recovery, in-process: a shard worker dying mid-run
-/// leaves checkpoints behind; a resumed rerun emits a byte-identical
-/// shard document, and the merged labels match a single-process run
-/// exactly. A corrupted shard file is caught by its payload
-/// fingerprint; a duplicated shard set is a spec error.
-#[test]
-fn killed_shard_resumes_and_merges_bit_identically() {
-    use loopml::Shard;
-    use loopml_bench::labelrun::{
-        labels_to_json, labels_to_json_sharded, run_label_merge, MergeError,
-    };
-
-    let suite = small_suite();
-    let config = cfg();
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fault_tolerance_shards");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let ckpt = dir.join("ckpt");
-    let res = |resume: bool| ResilienceConfig {
-        ckpt_dir: Some(ckpt.clone()),
-        resume,
-        ..ResilienceConfig::default()
-    };
-    let single = labels_to_json(
-        &label_suite_resilient(&suite, &config, &ResilienceConfig::default(), None),
-        config.swp,
-    );
-
-    let count = 2usize;
-    let shard = |index| Shard { index, count };
-    // Shard 0 completes normally.
-    let run0 = label_suite_resilient(&suite, &config, &res(false), Some(shard(0)));
-    let path0 = dir.join("shard0.json");
-    let doc0 = labels_to_json_sharded(&run0, config.swp, Some(shard(0))).to_string();
-    std::fs::write(&path0, format!("{doc0}\n")).unwrap();
-
-    // Shard 1 is "killed": its checkpoints exist but one is lost and no
-    // shard document was ever written.
-    let killed = label_suite_resilient(&suite, &config, &res(false), Some(shard(1)));
-    std::fs::remove_file(loopml::checkpoint_path(&ckpt, 1, &suite[1].name))
-        .expect("shard 1's checkpoint existed");
-
-    // The restarted worker resumes the surviving checkpoints and emits
-    // a byte-identical shard document.
-    let resumed = label_suite_resilient(&suite, &config, &res(true), Some(shard(1)));
-    assert_eq!(resumed.labeled, killed.labeled);
-    assert_eq!(resumed.attempts, killed.attempts);
-    assert!(resumed.report.resumed > 0, "surviving checkpoints reused");
-    let path1 = dir.join("shard1.json");
-    let doc1 = labels_to_json_sharded(&resumed, config.swp, Some(shard(1))).to_string();
-    assert_eq!(
-        doc1,
-        labels_to_json_sharded(&killed, config.swp, Some(shard(1))).to_string(),
-        "recovered shard document must be byte-identical"
-    );
-    std::fs::write(&path1, format!("{doc1}\n")).unwrap();
-
-    // Merge: byte-identical to the single-process labels document.
-    let paths = vec![
-        path0.to_string_lossy().into_owned(),
-        path1.to_string_lossy().into_owned(),
-    ];
-    let merged_path = dir.join("merged.json");
-    run_label_merge(&paths, &merged_path, None).expect("merge");
-    assert_eq!(
-        std::fs::read_to_string(&merged_path).unwrap(),
-        format!("{single}\n")
-    );
-
-    // Corruption is caught by the shard payload fingerprint...
-    let pristine = std::fs::read_to_string(&path1).unwrap();
-    std::fs::write(&path1, pristine.replacen("\"label\":", "\"label\":7", 1)).unwrap();
-    assert!(matches!(
-        run_label_merge(&paths, &merged_path, None),
-        Err(MergeError::Data(m)) if m.contains("fingerprint")
-    ));
-    std::fs::write(&path1, &pristine).unwrap();
-
-    // ...and a duplicated shard set is rejected as a spec error.
-    let dup = vec![paths[0].clone(), paths[0].clone()];
-    assert!(matches!(
-        run_label_merge(&dup, &merged_path, None),
-        Err(MergeError::Spec(_))
-    ));
 }

@@ -4,7 +4,7 @@
 use loopml::{
     improvement, label_suite, label_suite_resilient, oracle_choices, run_benchmark, to_dataset,
     EvalConfig, LabelConfig, LabeledLoop, LearnedHeuristic, OrcHeuristic, PipelineBuilder,
-    ResilienceConfig, UnrollHeuristic,
+    UnrollHeuristic,
 };
 use loopml_corpus::{full_suite, synthesize, SuiteConfig, ROSTER};
 use loopml_ir::Benchmark;
@@ -184,11 +184,8 @@ fn parallel_suite_labeling_matches_serial_end_to_end() {
         .map(|e| synthesize(e, &small_suite_cfg()))
         .collect();
     let cfg = LabelConfig::paper(SwpMode::Disabled);
-    let res = ResilienceConfig {
-        faults: FaultPlane::disabled(),
-        ..ResilienceConfig::default()
-    };
-    let run = |threads| with_threads(threads, || label_suite_resilient(&suite, &cfg, &res, None));
+    let faults = FaultPlane::disabled();
+    let run = |threads| with_threads(threads, || label_suite_resilient(&suite, &cfg, &faults));
     let serial = run(1);
     assert!(!serial.labeled.is_empty());
     for threads in [2, 4, 7] {
